@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from .agents import gated_evaluation
 from .analyzer import StructuralFacts, extract_facts, tokenize
 from .cache import (
     AgentPath,
@@ -14,7 +15,7 @@ from .cache import (
 from .errors import VerimoaError
 from .harness import build_report, pass_at_k, vendi_score
 from .problems import Benchmark, DesignProblem, RunConfig, load_benchmark, load_config
-from .scoring import QualityScore, ScoreBranch, ScoreConstants, evaluate
+from .scoring import QualityScore, ScoreBranch, ScoreConstants
 from .simulator import ExternalSimulator, SimulatorConfig, stub_simulator
 
 __all__ = [
@@ -36,8 +37,8 @@ __all__ = [
     "VerimoaError",
     "__version__",
     "build_report",
-    "evaluate",
     "extract_facts",
+    "gated_evaluation",
     "load_benchmark",
     "load_config",
     "pass_at_k",

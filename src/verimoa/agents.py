@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .problems import DesignProblem, Sampling
 from .scoring import QualityScore, ScoreConstants, score_from_facts
-from .simulator import stub_script_cmd
+from .simulator import SimPhase, stub_script_cmd
 
 TEMPLATE_NAMES = {
     "base": ("direct", "sim_refine"),
@@ -181,7 +182,11 @@ class RefineRound:
 
 CHECKER_TIMEOUT_MS = 60_000
 
-_CHECKER_SUFFIX = {IntermediateLanguage.CPP: ".cpp", IntermediateLanguage.PYTHON: ".py"}
+# The checked source's name inside the checker's private directory.
+_CHECKER_SOURCE = {
+    IntermediateLanguage.CPP: "candidate.cpp",
+    IntermediateLanguage.PYTHON: "candidate.py",
+}
 
 
 @dataclass(frozen=True)
@@ -196,35 +201,40 @@ class IntermediateChecker:
             raise ValueError("check_cmd needs a {source} placeholder")
 
     def run(self, source: str) -> tuple[str, str]:
-        """Check one intermediate; returns (pass|fail|error, diagnostics)."""
-        fd, path = tempfile.mkstemp(
-            suffix=_CHECKER_SUFFIX[self.language], prefix="verimoa-check-"
-        )
+        """Check one intermediate; returns (pass|fail|error, diagnostics).
+
+        The source is written under a fixed name into a private directory
+        that is the checker's working directory, so diagnostics never
+        quote a temp path.
+        """
+        workdir = tempfile.mkdtemp(prefix="verimoa-check-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            name = _CHECKER_SOURCE[self.language]
+            with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
                 fh.write(source)
             argv = [
-                token.replace("{source}", path)
+                token.replace("{source}", name)
                 for token in shlex.split(self.check_cmd)
             ]
             try:
                 proc = subprocess.run(
                     argv,
+                    cwd=workdir,
                     stdout=subprocess.PIPE,
                     stderr=subprocess.STDOUT,
                     timeout=self.timeout_ms / 1000.0,
                 )
             except subprocess.TimeoutExpired:
-                return "fail", "[checker timeout after %d ms]" % self.timeout_ms
+                return "fail", self.timeout_diagnostics()
             except OSError as exc:
                 return "error", "checker unavailable: %s" % exc
             log = proc.stdout.decode("utf-8", errors="replace")
             return ("pass", log) if proc.returncode == 0 else ("fail", log)
         finally:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    def timeout_diagnostics(self) -> str:
+        return "[checker timeout after %d ms]" % self.timeout_ms
 
 
 def stub_checker(language: IntermediateLanguage, max_rounds: int = 1) -> IntermediateChecker:
@@ -372,18 +382,28 @@ def gated_evaluation(
     constants: ScoreConstants,
     run_functional: bool = True,
 ) -> tuple[QualityScore, str]:
-    """Run the gates and score; also returns the failing log for feedback."""
-    syntax = sim.syntax_test(source, problem)
-    feedback = syntax.log
-    functional_pass = False
-    if syntax.passed:
-        feedback = ""
-        if run_functional:
-            func = sim.function_test(source, problem)
-            functional_pass = func.passed
-            feedback = "" if func.passed else func.log
+    """Run the gates and score; also returns the failing log for feedback.
+
+    With the functional gate on, the candidate is compiled once, together
+    with the testbench.  Only when that compile fails does a candidate-only
+    compile decide between the syntax-fail and the functional-fail branch.
+    With it off, a compiling candidate scores on the functional-fail branch
+    (it cannot claim the perfect score unverified).  Timeouts count as the
+    gate failing; simulator unavailability propagates.
+    """
+    func = sim.function_test(source, problem) if run_functional else None
+    if func is not None and func.phase is SimPhase.RUN:
+        syntax_pass, functional_pass = True, func.passed
+        feedback = "" if func.passed else func.log
+    else:
+        syntax = sim.syntax_test(source, problem)
+        syntax_pass, functional_pass = syntax.passed, False
+        if not syntax.passed:
+            feedback = syntax.log
+        else:
+            feedback = "" if func is None else func.log
     score = score_from_facts(
-        extract_facts(source), constants, syntax.passed, functional_pass
+        extract_facts(source), constants, syntax_pass, functional_pass
     )
     return score, feedback
 

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .agents import IntermediateChecker, load_templates, stub_checker
+from .agents import IntermediateChecker, gated_evaluation, load_templates, stub_checker
 from .backends import (
     HttpBackend,
     ReplayBackend,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .harness import build_report, pass_table, scan_run
 from .problems import load_benchmark, load_config, load_problem
-from .scoring import ScoreConstants, evaluate
+from .scoring import ScoreConstants
 from .simulator import (
     ExternalSimulator,
     iverilog_config,
@@ -166,7 +166,7 @@ def _cmd_score(args) -> int:
     with open(args.hdl, encoding="utf-8", errors="replace") as fh:
         source = fh.read()
     sim = _build_sim(args)
-    score = evaluate(source, problem, sim, ScoreConstants())
+    score, _ = gated_evaluation(source, problem, sim, ScoreConstants())
     if args.json:
         print(json.dumps(score.to_json(), indent=2, sort_keys=True))
     else:

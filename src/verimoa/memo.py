@@ -1,0 +1,114 @@
+"""Per-run memo of simulator verdicts and checker results.
+
+The quality-guided cache keeps every candidate, and layers, refinement
+rounds and the aggregator hand the same source to the gates again and
+again.  ``run_benchmark`` makes one memo per call and puts it in front of
+the simulator and the checkers it was handed, so each distinct candidate
+is compiled, run and checked once per run.
+
+Keys are sha256 digests of everything a result depends on within one run:
+the gate, the problem id, its testbench and support files, and the
+source; for checkers, the language, the check command and the source.
+Lookups are single-flight: a thread asking for a key that another thread
+is computing waits for that result instead of spawning its own process.
+Timed-out verdicts, failed checker launches and raised errors are never
+stored, so the next caller computes them afresh, as without a memo.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import threading
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256(
+        json.dumps(parts, ensure_ascii=True).encode("ascii")
+    ).hexdigest()
+
+
+class VerdictMemo:
+    """Results by key for one run; `hits` and `misses` count the lookups."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._done: dict[str, object] = {}
+        self._pending: dict[str, threading.Event] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: str, compute: Callable[[], T], keep: Callable[[T], bool]) -> T:
+        """The stored result for key, or compute() once across threads.
+
+        A result is stored only when keep(result) holds.  A waiter whose
+        owner raised, or got a result not worth keeping, computes anew.
+        """
+        while True:
+            with self._lock:
+                if key in self._done:
+                    self.hits += 1
+                    return self._done[key]  # type: ignore[return-value]
+                pending = self._pending.get(key)
+                if pending is None:
+                    pending = self._pending[key] = threading.Event()
+                    self.misses += 1
+                    break
+            pending.wait()
+        try:
+            result = compute()
+            if keep(result):
+                with self._lock:
+                    self._done[key] = result
+            return result
+        finally:
+            with self._lock:
+                del self._pending[key]
+            pending.set()
+
+
+class _Wrapper:
+    def __init__(self, inner, memo: VerdictMemo) -> None:
+        self._inner = inner
+        self._memo = memo
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _keep_verdict(verdict) -> bool:
+    return not verdict.timed_out
+
+
+class MemoSimulator(_Wrapper):
+    def _gate(self, method: str, source: str, problem):
+        key = _digest(
+            method,
+            problem.id,
+            problem.testbench_source,
+            sorted(getattr(problem, "support_files", {}).items()),
+            source,
+        )
+        gate = getattr(self._inner, method)
+        return self._memo.get(key, lambda: gate(source, problem), _keep_verdict)
+
+    def syntax_test(self, source: str, problem):
+        return self._gate("syntax_test", source, problem)
+
+    def function_test(self, source: str, problem):
+        return self._gate("function_test", source, problem)
+
+
+class MemoChecker(_Wrapper):
+    def run(self, source: str) -> tuple[str, str]:
+        inner = self._inner
+        key = _digest(inner.language.value, inner.check_cmd, source)
+
+        def keep(result: tuple[str, str]) -> bool:
+            status, diagnostics = result
+            return status != "error" and diagnostics != inner.timeout_diagnostics()
+
+        return self._memo.get(key, lambda: inner.run(source), keep)

@@ -48,6 +48,7 @@ from .cache import (
 )
 from .errors import EmptyWindowError, PipelineFailureError, VerimoaError
 from .harness import vendi_score
+from .memo import MemoChecker, MemoSimulator, VerdictMemo
 from .problems import Benchmark, DesignProblem, RunConfig
 from .scoring import QualityScore
 
@@ -110,6 +111,13 @@ def _llm_call_event(layer: int, slot: int, record: PromptRecord) -> dict:
         "user_prompt": record.user_prompt,
         "response_text": record.response_text,
         "extracted_source": record.extracted_source,
+    }
+
+
+def _stub_checkers(config: RunConfig) -> dict[IntermediateLanguage, IntermediateChecker]:
+    return {
+        lang: stub_checker(lang, config.max_stage1_refine_rounds)
+        for lang in IntermediateLanguage
     }
 
 
@@ -192,10 +200,7 @@ def run_trial(
     started = time.monotonic()
     templates = templates or load_templates()
     if checkers is None:
-        checkers = {
-            lang: stub_checker(lang, config.max_stage1_refine_rounds)
-            for lang in IntermediateLanguage
-        }
+        checkers = _stub_checkers(config)
 
     specs = [
         AgentSpec(path=path, slot=slot, templates=templates[path.value])
@@ -449,10 +454,19 @@ def run_benchmark(
     checkers: dict[IntermediateLanguage, IntermediateChecker] | None = None,
     run_functional: bool = True,
 ) -> list[TrialResult]:
-    """trials x problems, concurrently, one trace file per trial."""
+    """trials x problems, concurrently, one trace file per trial.
+
+    The simulator and the checkers are put behind one VerdictMemo for this
+    call, so each distinct candidate is evaluated once per run.
+    """
     benchmark.validate()
     config.validate()
     templates = templates or load_templates()
+    if checkers is None:
+        checkers = _stub_checkers(config)
+    memo = VerdictMemo()
+    sim = MemoSimulator(sim, memo)
+    checkers = {lang: MemoChecker(c, memo) for lang, c in checkers.items()}
     write_manifest(
         run_dir, benchmark, config, getattr(backend, "backend_id", "unknown")
     )

@@ -29,6 +29,10 @@ from .errors import (
 from .scoring import ScoreConstants, score_constants_from_json
 
 
+# The simulator's names for the candidate and the testbench.
+RESERVED_SOURCE_NAMES = ("candidate.v", "testbench.v")
+
+
 @dataclass(frozen=True)
 class DesignProblem:
     id: str
@@ -50,6 +54,16 @@ class DesignProblem:
             )
         if self.timeout_ms < 1:
             raise InvariantViolationError("%s: timeout_ms must be >= 1" % self.id)
+        # The simulator writes every source under its base name.
+        seen: set[str] = set()
+        for name in sorted(self.support_files):
+            base = os.path.basename(name)
+            if base in RESERVED_SOURCE_NAMES or base in seen:
+                raise SchemaError(
+                    "%s: support file %r would overwrite another source named %s"
+                    % (self.id, name, base)
+                )
+            seen.add(base)
 
 
 @dataclass(frozen=True)

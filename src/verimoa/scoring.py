@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .analyzer import Sensitivity, StructuralFacts, extract_facts
+from .analyzer import Sensitivity, StructuralFacts
 from .errors import InvariantViolationError, SchemaError
 
 # Rule identifiers, grouped by severity class.
@@ -355,24 +355,3 @@ def score_from_facts(
         return _functional_fail_score(facts, constants)
     return _syntax_fail_score(facts, constants)
 
-
-def evaluate(
-    candidate_source: str,
-    problem,
-    sim,
-    constants: ScoreConstants,
-    run_functional: bool = True,
-) -> QualityScore:
-    """Run both simulator gates on a candidate and score it.
-
-    Timeouts count as the corresponding gate failing. Simulator
-    unavailability propagates; the caller drops the candidate.  With
-    run_functional disabled a compiling candidate scores on the
-    functional-fail branch (it cannot claim the perfect score unverified).
-    """
-    syntax = sim.syntax_test(candidate_source, problem)
-    functional_pass = False
-    if syntax.passed and run_functional:
-        functional_pass = sim.function_test(candidate_source, problem).passed
-    facts = extract_facts(candidate_source)
-    return score_from_facts(facts, constants, syntax.passed, functional_pass)

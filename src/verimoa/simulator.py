@@ -4,11 +4,13 @@ The two scoring gates map onto a simulator's natural phases: the syntax
 gate is the compile command, the functional gate compiles the candidate
 with the golden testbench and runs it.  A run passes only when the process
 exits 0 AND the pass marker appears in its output, because HDL testbenches
-routinely exit 0 after printing mismatches.
+routinely exit 0 after printing mismatches.  The marker is looked for in
+the whole output; only the stored log is truncated.
 
 Every invocation gets a private workspace directory, removed on success
 and retained on failure only when configured, so concurrent evaluations
-never collide.
+never collide.  Commands run inside it on fixed relative file names, so
+diagnostics never quote the workspace path.
 """
 
 from __future__ import annotations
@@ -72,13 +74,16 @@ class SimVerdict:
     timed_out: bool = False
 
 
+_TRUNCATION_NOTE = "\n...[log truncated]...\n"
+
+
 def truncate_log(log: str) -> str:
-    """Cap log size while always preserving the tail, where failures live."""
+    """Cap log size at LOG_CAP_BYTES characters, always keeping the tail,
+    where failures live."""
     if len(log) <= LOG_CAP_BYTES:
         return log
-    head = log[: LOG_CAP_BYTES - LOG_TAIL_BYTES]
-    tail = log[-LOG_TAIL_BYTES:]
-    return "%s\n...[log truncated]...\n%s" % (head, tail)
+    head = log[: LOG_CAP_BYTES - LOG_TAIL_BYTES - len(_TRUNCATION_NOTE)]
+    return head + _TRUNCATION_NOTE + log[-LOG_TAIL_BYTES:]
 
 
 def _build_argv(template: str, sources: list[str], out: str) -> list[str]:
@@ -138,26 +143,22 @@ class ExternalSimulator:
         except OSError as exc:
             raise SimulatorUnavailableError("cannot launch %s: %s" % (argv[0], exc))
         duration_ms = int((time.monotonic() - started) * 1000)
-        return code, truncate_log(log), timed_out, duration_ms
+        return code, log, timed_out, duration_ms
 
     def _write_sources(self, workspace: str, problem, include_testbench: bool,
                        candidate_source: str) -> list[str]:
-        paths = []
-        candidate = os.path.join(workspace, "candidate.v")
-        with open(candidate, "w", encoding="utf-8") as fh:
-            fh.write(candidate_source)
-        paths.append(candidate)
-        for name, content in sorted(getattr(problem, "support_files", {}).items()):
-            path = os.path.join(workspace, os.path.basename(name))
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(content)
-            paths.append(path)
+        """Write the sources into the workspace; returns their relative names."""
+        files = [("candidate.v", candidate_source)]
+        files += [
+            (os.path.basename(name), content)
+            for name, content in sorted(getattr(problem, "support_files", {}).items())
+        ]
         if include_testbench:
-            tb = os.path.join(workspace, "testbench.v")
-            with open(tb, "w", encoding="utf-8") as fh:
-                fh.write(problem.testbench_source)
-            paths.append(tb)
-        return paths
+            files.append(("testbench.v", problem.testbench_source))
+        for name, content in files:
+            with open(os.path.join(workspace, name), "w", encoding="utf-8") as fh:
+                fh.write(content)
+        return [name for name, _ in files]
 
     def _cleanup(self, workspace: str, passed: bool) -> None:
         if passed or not self.config.keep_failed_workspaces:
@@ -176,34 +177,41 @@ class ExternalSimulator:
         passed = False
         try:
             sources = self._write_sources(workspace, problem, False, candidate_source)
-            out = os.path.join(workspace, "design.out")
-            argv = _build_argv(self.config.compile_cmd, sources, out)
+            argv = _build_argv(self.config.compile_cmd, sources, "./design.out")
             code, log, timed_out, duration = self._run(
                 argv, workspace, self._timeout_ms(problem)
             )
             passed = code == 0 and not timed_out
-            return SimVerdict(SimPhase.COMPILE, passed, log, duration, timed_out)
+            return SimVerdict(
+                SimPhase.COMPILE, passed, truncate_log(log), duration, timed_out
+            )
         finally:
             self._cleanup(workspace, passed)
 
     def function_test(self, candidate_source: str, problem) -> SimVerdict:
+        """Compile with the testbench, then run; a failed compile reports
+        SimPhase.COMPILE."""
         workspace = self._make_workspace()
         passed = False
         try:
             sources = self._write_sources(workspace, problem, True, candidate_source)
-            out = os.path.join(workspace, "sim.out")
             timeout_ms = self._timeout_ms(problem)
-            argv = _build_argv(self.config.compile_cmd, sources, out)
+            # "./" so that a run_cmd of just {out} executes the file here
+            # rather than searching PATH.
+            argv = _build_argv(self.config.compile_cmd, sources, "./sim.out")
             code, log, timed_out, duration = self._run(argv, workspace, timeout_ms)
             if code != 0 or timed_out:
-                return SimVerdict(SimPhase.RUN, False, log, duration, timed_out)
-            run_argv = _build_argv(self.config.run_cmd, [], out)
+                return SimVerdict(
+                    SimPhase.COMPILE, False, truncate_log(log), duration, timed_out
+                )
+            run_argv = _build_argv(self.config.run_cmd, [], "./sim.out")
             code, run_log, timed_out, run_duration = self._run(
                 run_argv, workspace, timeout_ms
             )
             passed = code == 0 and not timed_out and self._marker(problem) in run_log
             return SimVerdict(
-                SimPhase.RUN, passed, run_log, duration + run_duration, timed_out
+                SimPhase.RUN, passed, truncate_log(run_log),
+                duration + run_duration, timed_out,
             )
         finally:
             self._cleanup(workspace, passed)

@@ -34,12 +34,13 @@ from conftest import (
     random_facts,
     session_elapsed,
 )
+from verimoa.agents import gated_evaluation
 from verimoa.backends import ResponseRule, RuleBackend
 from verimoa.cache import GlobalCache, IntermediateLanguage
 from verimoa.harness import pass_at_k, vendi_from_similarity, vendi_score
 from verimoa.orchestrator import run_trial
 from verimoa.problems import RunConfig, load_problem
-from verimoa.scoring import ScoreBranch, ScoreConstants, evaluate, score_from_facts
+from verimoa.scoring import ScoreBranch, ScoreConstants, score_from_facts
 from verimoa.simulator import ExternalSimulator, iverilog_config, simcheck
 
 
@@ -400,7 +401,7 @@ def test_criterion_10_live_simulator():
     problem = load_problem(os.path.join(TOY_BENCH, "mux2"))
     with open(os.path.join(TOY_BENCH, "mux2", "solution.v"), encoding="utf-8") as fh:
         source = fh.read()
-    score = evaluate(source, problem, sim, ScoreConstants())
+    score, _ = gated_evaluation(source, problem, sim, ScoreConstants())
     assert score.value == 1.0
     assert score.branch is ScoreBranch.PERFECT
     print("criterion 10 PASS: live simulator healthy, bundled mux scores 1.0")

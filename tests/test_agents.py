@@ -396,9 +396,9 @@ class TestSimRefine:
             self.refine(CLEAN_MODULE, ScriptedBackend([]), RaisingSimulator(0))
 
     def test_mid_refinement_simulator_error_keeps_prior_rounds(self):
-        # Budget of two covers round 0 (compile + run); the refinement
+        # Budget of one covers round 0 (one compile-and-run); the refinement
         # evaluation then dies and the draft's rounds survive.
-        sim = RaisingSimulator(2)
+        sim = RaisingSimulator(1)
         backend = ScriptedBackend([verilog_reply()])
         rounds, prompts = self.refine(CLEAN_MODULE + "// FUNCFAIL", backend, sim)
         assert [r.round_index for r in rounds] == [0]

@@ -13,6 +13,7 @@ from verimoa.problems import (
     RunConfig,
     config_from_json,
 )
+from verimoa.simulator import stub_simulator
 
 VERILOG_REPLY = "```verilog\n%s\n```" % CLEAN_MODULE.strip("\n")
 BROKEN_REPLY = "```verilog\n%s// FUNCFAIL\n```" % CLEAN_MODULE
@@ -111,6 +112,37 @@ class TestEventOrder:
             paths.append(trace)
         with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
             assert fa.read() == fb.read()
+
+
+    def test_trace_quoting_diagnostics_is_deterministic(self, tmp_path):
+        # A refined SYNTAXERR draft and a failing checker put the stub
+        # simulator's and checker's diagnostics into prompts; they must not
+        # name the per-call temp directories.
+        backend = RuleBackend([
+            ResponseRule(text=VERILOG_REPLY, tag_contains="sim_refine"),
+            ResponseRule(
+                text="```cpp\nint model; // CHECKFAIL\n```",
+                tag_contains="stage1", system_contains="C++",
+            ),
+            ResponseRule(text="```verilog\nmodule m; SYNTAXERR endmodule\n```"),
+        ])
+        traces = []
+        for name in ("a", "b"):
+            config = small_config(
+                proposer_layers=1, layer_width=1, mixture=("Cpp",),
+                enable_sim_refinement=True, max_sim_refine_rounds=1,
+            )
+            run_dir = tmp_path / name
+            run_benchmark(
+                Benchmark(name="one", problems=(make_problem(),)), config,
+                backend, stub_simulator(), str(run_dir), jobs=1,
+            )
+            traces.append((run_dir / "widget" / "0" / "trace.jsonl").read_bytes())
+        events = [json.loads(line) for line in traces[0].splitlines()]
+        prompts = [e["user_prompt"] for e in events if e["event"] == "llm_call"]
+        assert any("candidate.v: syntax error" in p for p in prompts)
+        assert any("candidate.cpp:1: error: CHECKFAIL" in p for p in prompts)
+        assert traces[0] == traces[1]
 
 
 class TestCaching:

@@ -130,6 +130,24 @@ class TestLoadProblem:
         with pytest.raises(MissingFileError, match="ghost.v"):
             load_problem(pdir, "p1")
 
+    @pytest.mark.parametrize("name", ["candidate.v", "testbench.v"])
+    def test_support_file_may_not_shadow_a_simulator_source(self, tmp_path, name):
+        # The simulator writes the candidate and the testbench under these
+        # names; a support file of the same name would silently replace one.
+        meta = {
+            "id": "p1", "top_module": "p1", "timeout_ms": 5,
+            "support_files": [name],
+        }
+        extra = [] if name == "testbench.v" else [(name, "// shadow")]
+        pdir = write_problem(tmp_path, "p1", meta, extra_files=extra)
+        with pytest.raises(SchemaError, match=name):
+            load_problem(pdir, "p1")
+
+    def test_support_files_may_not_share_a_base_name(self):
+        problem = make_problem(support_files={"a/lib.v": "// a", "b/lib.v": "// b"})
+        with pytest.raises(SchemaError, match="lib.v"):
+            problem.validate()
+
     def test_missing_spec(self, tmp_path):
         pdir = write_problem(tmp_path, "p1")
         os.remove(os.path.join(pdir, "spec.md"))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FakeSimulator, make_problem, random_facts
+from verimoa.agents import gated_evaluation
 from verimoa.analyzer import AlwaysBlockFacts, Sensitivity, StructuralFacts, extract_facts
 from verimoa.errors import InvariantViolationError, SchemaError
 from verimoa.scoring import (
@@ -21,7 +22,6 @@ from verimoa.scoring import (
     RULE_UNBALANCED,
     ScoreBranch,
     ScoreConstants,
-    evaluate,
     fallback_credits,
     fired_rules,
     score_constants_from_json,
@@ -265,27 +265,41 @@ class TestProperties:
 
 
 class TestEvaluate:
+    """The one gate sequence: compile with the testbench and run, and a
+    candidate-only compile only when that compile fails."""
+
     def test_perfect_path(self, fake_sim):
-        score = evaluate(GOOD, make_problem(), fake_sim, ScoreConstants())
+        score, _ = gated_evaluation(GOOD, make_problem(), fake_sim, ScoreConstants())
         assert score.branch is ScoreBranch.PERFECT
-        assert fake_sim.calls == [("compile", "widget"), ("run", "widget")]
+        assert fake_sim.calls == [("run", "widget")]
 
     def test_functional_gate_skipped_when_disabled(self, fake_sim):
-        score = evaluate(
+        score, _ = gated_evaluation(
             GOOD, make_problem(), fake_sim, ScoreConstants(), run_functional=False
         )
         assert score.branch is ScoreBranch.FUNCTIONAL_FAIL
         assert fake_sim.calls == [("compile", "widget")]
 
     def test_syntax_failure_skips_run(self, fake_sim):
-        score = evaluate(
+        score, _ = gated_evaluation(
             "module m; SYNTAXERR endmodule", make_problem(), fake_sim, ScoreConstants()
         )
         assert score.branch is ScoreBranch.SYNTAX_FAIL
-        assert ("run", "widget") not in fake_sim.calls
+        assert fake_sim.calls == [("run", "widget"), ("compile", "widget")]
 
     def test_functional_failure(self, fake_sim):
-        score = evaluate(
+        score, _ = gated_evaluation(
             GOOD + " // FUNCFAIL", make_problem(), fake_sim, ScoreConstants()
         )
         assert score.branch is ScoreBranch.FUNCTIONAL_FAIL
+        assert fake_sim.calls == [("run", "widget")]
+
+    def test_testbench_only_compile_failure_is_functional_fail(self, fake_sim):
+        # The candidate compiles alone but not with the testbench: the
+        # candidate-only compile puts it on the functional-fail branch, and
+        # the feedback is the failing compile's log.
+        problem = make_problem(testbench_source="module tb; SYNTAXERR endmodule")
+        score, feedback = gated_evaluation(GOOD, problem, fake_sim, ScoreConstants())
+        assert score.branch is ScoreBranch.FUNCTIONAL_FAIL
+        assert fake_sim.calls == [("run", "widget"), ("compile", "widget")]
+        assert "syntax error" in feedback

@@ -71,7 +71,7 @@ class TestTruncateLog:
         assert "...[log truncated]..." in out
         assert out.startswith("H")
         assert out.endswith("T" * LOG_TAIL_BYTES)
-        assert len(out) < len(log)
+        assert len(out) == LOG_CAP_BYTES
 
 
 class TestStubFlows:
@@ -109,7 +109,7 @@ class TestStubFlows:
     def test_compile_failure_inside_function_gate(self, tmp_path):
         sim = stub_simulator(workspace_root=str(tmp_path))
         verdict = sim.function_test("module m; SYNTAXERR endmodule", make_problem())
-        assert verdict.phase is SimPhase.RUN
+        assert verdict.phase is SimPhase.COMPILE
         assert not verdict.passed
 
     def test_support_files_are_compiled(self, tmp_path):
@@ -124,6 +124,24 @@ class TestStubFlows:
         assert verdict.timed_out
         assert not verdict.passed
         assert "timeout after" in verdict.log
+
+    def test_marker_deep_in_a_long_log_still_passes(self, tmp_path):
+        # The marker sits where head+tail truncation cuts; the verdict is
+        # taken on the whole output, and only the stored log is capped.
+        script = tmp_path / "chatty.py"
+        script.write_text(
+            "import sys\n"
+            "sys.stdout.write('x' * 60000 + '\\nALL_TESTS_PASSED\\n' + 'y' * 20000)\n"
+        )
+        config = SimulatorConfig(
+            compile_cmd="%s -c pass {sources} {out}" % PY,
+            run_cmd="%s %s {out}" % (PY, shlex.quote(str(script))),
+            workspace_root=str(tmp_path / "ws"),
+        )
+        verdict = ExternalSimulator(config).function_test(CLEAN_MODULE, make_problem())
+        assert verdict.passed
+        assert "ALL_TESTS_PASSED" not in verdict.log
+        assert len(verdict.log) <= LOG_CAP_BYTES
 
     def test_config_pass_marker_override(self, tmp_path):
         sim = stub_simulator(workspace_root=str(tmp_path), pass_marker="CUSTOM_OK")
@@ -171,6 +189,34 @@ class TestWorkspaces:
 
 
 class TestProcessHandling:
+    def test_commands_see_relative_names_inside_the_workspace(self, tmp_path):
+        # Diagnostics quote what the command was given; with workspace-
+        # relative names they read the same whatever the temp path.
+        config = SimulatorConfig(
+            compile_cmd="%s -c %s {sources} -o {out}" % (
+                PY, shlex.quote("import os, sys; print(os.getcwd()); print(sys.argv[1:]); sys.exit(1)")
+            ),
+            run_cmd="true {out}",
+            workspace_root=str(tmp_path),
+        )
+        problem = make_problem(support_files={"lib/helper.v": "// helper"})
+        verdict = ExternalSimulator(config).function_test(CLEAN_MODULE, problem)
+        cwd, argv = verdict.log.splitlines()
+        assert os.path.basename(cwd).startswith("verimoa-sim-")
+        assert argv == str(["candidate.v", "helper.v", "testbench.v", "-o", "./sim.out"])
+
+    def test_run_cmd_may_execute_the_compiled_output(self, tmp_path):
+        build = (
+            "import os, sys; open(sys.argv[-1], 'w').write("
+            "'#!/bin/sh\\necho ALL_TESTS_PASSED\\n'); os.chmod(sys.argv[-1], 0o755)"
+        )
+        config = SimulatorConfig(
+            compile_cmd="%s -c %s {sources} {out}" % (PY, shlex.quote(build)),
+            run_cmd="{out}",
+            workspace_root=str(tmp_path),
+        )
+        assert ExternalSimulator(config).function_test(CLEAN_MODULE, make_problem()).passed
+
     def test_missing_binary(self, tmp_path):
         config = SimulatorConfig(
             compile_cmd="verimoa-no-such-binary {sources} -o {out}",
