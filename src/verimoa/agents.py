@@ -35,6 +35,7 @@ from .cache import (
     PATH_LANGUAGE,
 )
 from .errors import (
+    AuthError,
     MissingFileError,
     SimulatorUnavailableError,
     VerimoaError,
@@ -424,7 +425,8 @@ def sim_refine(
 
     Always returns at least round 0 (the plain evaluation); with
     max_rounds=0 that is all.  Backend or simulator trouble mid-refinement
-    ends the loop early, keeping the rounds already evaluated.  The round-0
+    ends the loop early, keeping the rounds already evaluated; an AuthError
+    propagates, since no later request can succeed.  The round-0
     evaluation propagates simulator errors: an unevaluable draft has no
     score at all.
     """
@@ -449,6 +451,8 @@ def sim_refine(
                 tag_prefix,
                 "verilog",
             )
+        except AuthError:
+            raise
         except VerimoaError:
             break
         prompts.append(record)
@@ -478,7 +482,8 @@ def run_aggregator(
     """Synthesize the final answer from the TopN references.
 
     Returns (source, prompts, fallback_used); on backend failure the
-    highest-ranked cached candidate becomes the answer.
+    highest-ranked cached candidate becomes the answer.  An AuthError
+    propagates.
     """
     if not hdl_refs:
         raise ValueError("aggregator needs at least one cached reference")
@@ -496,6 +501,8 @@ def run_aggregator(
             tag_prefix,
             "verilog",
         )
+    except AuthError:
+        raise
     except VerimoaError:
         return hdl_refs[0].source, [], True
     return record.extracted_source, [record], False

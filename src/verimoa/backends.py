@@ -3,8 +3,9 @@
 Every backend exposes one method, generate(request) -> GenerationResponse.
 Mock backends make the whole pipeline runnable offline:
 
-  * ReplayBackend answers from a recorded transcript, keyed by a stable
-    hash of the request's (system_prompt, user_prompt, temperature, top_p);
+  * ReplayBackend answers from a recorded transcript, keyed by the
+    request's tag and a stable hash of its (system_prompt, user_prompt,
+    temperature, top_p), falling back to the hash alone;
   * ScriptedBackend pops a fixed response sequence (single-threaded tests);
   * RuleBackend matches requests against predicate rules, making each
     response a pure function of the request, safe under concurrency.
@@ -159,16 +160,28 @@ class HttpBackend:
 
 
 class ReplayBackend:
-    """Answers from a recorded transcript; misses are hard errors."""
+    """Answers from a recorded transcript; misses are hard errors.
+
+    A request gets the answer recorded for its own tag and key when there
+    is one, so trials that sent the same prompt and were answered
+    differently replay as recorded; otherwise the first answer recorded for
+    its key, so transcripts without tags, or from another layout, replay.
+    """
 
     backend_id = "replay"
 
-    def __init__(self, responses: dict[str, str]) -> None:
+    def __init__(
+        self,
+        responses: dict[str, str],
+        tagged: dict[tuple[str, str], str] | None = None,
+    ) -> None:
         self._responses = dict(responses)
+        self._tagged = dict(tagged or {})
 
     @classmethod
     def from_transcript(cls, path: str) -> "ReplayBackend":
         responses: dict[str, str] = {}
+        tagged: dict[tuple[str, str], str] = {}
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.strip()
@@ -178,6 +191,7 @@ class ReplayBackend:
                     record = json.loads(line)
                     key = record["key"]
                     text = record["response_text"]
+                    tag = record.get("request_tag", "")
                 except (ValueError, KeyError, TypeError):
                     raise SchemaError(
                         "%s:%d: expected a transcript record with key and "
@@ -185,15 +199,17 @@ class ReplayBackend:
                     )
                 # First record wins; replays of reruns may append dupes.
                 responses.setdefault(key, text)
-        return cls(responses)
+                tagged.setdefault((tag, key), text)
+        return cls(responses, tagged)
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         key = request_key(request)
-        if key not in self._responses:
+        text = self._tagged.get((request.request_tag, key), self._responses.get(key))
+        if text is None:
             raise TranscriptMissError(
                 "no recorded response for key %s (tag %r)" % (key, request.request_tag)
             )
-        return GenerationResponse(text=self._responses[key], backend_id=self.backend_id)
+        return GenerationResponse(text=text, backend_id=self.backend_id)
 
 
 class ScriptedBackend:
@@ -293,7 +309,12 @@ def load_scripted(path: str):
 
 
 class TranscriptRecorder:
-    """Wraps a backend, appending every exchange to a JSONL transcript."""
+    """Wraps a backend, appending every exchange to a JSONL transcript.
+
+    Lines are appended as answers arrive, so a partial run keeps what it
+    got; close() rewrites the file sorted by (request_tag, line), one
+    canonical order however the requests interleaved.
+    """
 
     def __init__(self, inner, path: str) -> None:
         self.inner = inner
@@ -320,6 +341,16 @@ class TranscriptRecorder:
             with open(self._path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
         return response
+
+    def close(self) -> None:
+        with self._lock:
+            if not os.path.exists(self._path):
+                return
+            with open(self._path, encoding="utf-8") as fh:
+                lines = [line for line in fh.read().splitlines() if line]
+            lines.sort(key=lambda line: (json.loads(line).get("request_tag", ""), line))
+            with open(self._path, "w", encoding="utf-8") as fh:
+                fh.writelines(line + "\n" for line in lines)
 
 
 _FENCE_ALIASES = {

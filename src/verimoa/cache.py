@@ -109,9 +109,6 @@ class GlobalCache:
             raise DuplicateIdError("intermediate id already cached: %s" % (key,))
         self._intermediate.append(entry)
 
-    def hdl_entries(self) -> tuple[HdlCacheEntry, ...]:
-        return tuple(self._hdl)
-
     def intermediate_entries(
         self, language: IntermediateLanguage | None = None
     ) -> tuple[IntermediateCacheEntry, ...]:

@@ -90,7 +90,7 @@ def _build_sim(args) -> ExternalSimulator:
     return ExternalSimulator(config)
 
 
-def _build_backend(args, run_dir: str | None):
+def _build_backend(args, run_dir: str) -> TranscriptRecorder:
     spec = args.backend
     if spec == "http":
         if not args.endpoint or not args.model:
@@ -104,10 +104,8 @@ def _build_backend(args, run_dir: str | None):
         raise _UsageError(
             "--backend must be http, replay:<file>, or scripted:<file>"
         )
-    if run_dir is not None:
-        os.makedirs(run_dir, exist_ok=True)
-        backend = TranscriptRecorder(backend, os.path.join(run_dir, "transcript.jsonl"))
-    return backend
+    os.makedirs(run_dir, exist_ok=True)
+    return TranscriptRecorder(backend, os.path.join(run_dir, "transcript.jsonl"))
 
 
 def _build_checkers(args, max_rounds: int) -> dict[IntermediateLanguage, IntermediateChecker]:
@@ -137,17 +135,20 @@ def _cmd_run(args) -> int:
         raise SimulatorUnavailableError("simulator preflight failed: %s" % message)
     templates = load_templates(args.templates) if args.templates else None
     checkers = _build_checkers(args, config.max_stage1_refine_rounds)
-    results = run_benchmark(
-        benchmark,
-        config,
-        backend,
-        sim,
-        run_dir=args.out,
-        jobs=args.jobs,
-        templates=templates,
-        checkers=checkers,
-        run_functional=not args.no_inloop_functional,
-    )
+    try:
+        results = run_benchmark(
+            benchmark,
+            config,
+            backend,
+            sim,
+            run_dir=args.out,
+            jobs=args.jobs,
+            templates=templates,
+            checkers=checkers,
+            run_functional=not args.no_inloop_functional,
+        )
+    finally:
+        backend.close()
     if results and all(r.candidate_count == 0 for r in results):
         raise PipelineFailureError(
             "all %d trials failed before aggregation" % len(results)
@@ -238,7 +239,8 @@ def build_parser() -> _Parser:
     p_run.add_argument("--endpoint", default=None, help="HTTP backend endpoint URL")
     p_run.add_argument("--model", default=None, help="HTTP backend model name")
     p_run.add_argument("--jobs", type=int, default=4,
-                       help="concurrent trials (default 4)")
+                       help="at most jobs x layer_width agent tasks in flight, "
+                            "shared by all trials (default 4)")
     p_run.add_argument("--templates", default=None,
                        help="prompt template directory override")
     p_run.add_argument("--cpp-check-cmd", default=None,

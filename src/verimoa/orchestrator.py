@@ -7,9 +7,17 @@ slot order.  The trace file therefore has one canonical event order per
 run, independent of thread scheduling, and carries no timing fields --
 replay runs are byte-identical.
 
+All trials of one run_benchmark call share one pool of jobs x layer_width
+workers, so while a trial waits at a layer barrier, other trials' slots
+use the idle workers.  Every LLM, checker and simulator call -- proposer
+slots, the aggregator, its refinement and the final evaluation -- runs on
+that pool, so at most jobs x layer_width agent tasks are in flight at once.
+
 Trial failures degrade, never abort the benchmark: a failing agent loses
 its slot for that layer, an empty cache at aggregation fails the trial,
-and a failed trial counts as a non-pass.
+and a failed trial counts as a non-pass.  An AuthError is the exception:
+no later request can succeed, so it cancels the queued work and stops the
+run.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from . import __version__
@@ -46,7 +54,7 @@ from .cache import (
     IntermediateLanguage,
     PATH_LANGUAGE,
 )
-from .errors import EmptyWindowError, PipelineFailureError, VerimoaError
+from .errors import AuthError, EmptyWindowError, PipelineFailureError, VerimoaError
 from .harness import vendi_score
 from .memo import MemoChecker, MemoSimulator, VerdictMemo
 from .problems import Benchmark, DesignProblem, RunConfig
@@ -175,6 +183,8 @@ def _run_slot(
         return _SlotOutcome(
             spec.slot, spec.path, prompts, checks, rounds, intermediate, stage1_rounds
         )
+    except AuthError:
+        raise
     except VerimoaError as exc:
         return _SlotOutcome(
             spec.slot, spec.path, prompts, checks, [], intermediate,
@@ -193,9 +203,15 @@ def run_trial(
     templates: dict[str, dict[str, str]] | None = None,
     checkers: dict[IntermediateLanguage, IntermediateChecker] | None = None,
     run_functional: bool = True,
+    pool: ThreadPoolExecutor | None = None,
 ) -> TrialResult:
     """One full pipeline episode for one problem. Raises PipelineFailure
-    when no candidate survives to aggregation."""
+    when no candidate survives to aggregation.
+
+    Every agent task runs on ``pool``; without one, the trial makes its own
+    pool of layer_width workers.  This thread only waits and writes the
+    trace, so the trace order does not depend on which worker ran what.
+    """
     config.validate()
     started = time.monotonic()
     templates = templates or load_templates()
@@ -207,6 +223,9 @@ def run_trial(
         for slot, path in enumerate(config.mixture_paths(), start=1)
     ]
     cache = GlobalCache()
+    own_pool = None
+    if pool is None:
+        pool = own_pool = ThreadPoolExecutor(max_workers=config.layer_width)
     writer = TraceWriter(trace_path)
     per_layer: list[LayerStats] = []
     try:
@@ -224,25 +243,24 @@ def run_trial(
                 lang: cache.top_k_intermediate(lang, layer, config.top_k_intermediate)
                 for lang in IntermediateLanguage
             }
-            with ThreadPoolExecutor(max_workers=config.layer_width) as pool:
-                futures = [
-                    pool.submit(
-                        _run_slot,
-                        spec,
-                        problem,
-                        layer,
-                        hdl_refs,
-                        int_refs_by_language,
-                        backend,
-                        sim,
-                        config,
-                        checkers,
-                        "%s/t%d/L%d/S%d" % (problem.id, trial_index, layer, spec.slot),
-                        run_functional,
-                    )
-                    for spec in specs
-                ]
-                outcomes = [f.result() for f in futures]
+            futures = [
+                pool.submit(
+                    _run_slot,
+                    spec,
+                    problem,
+                    layer,
+                    hdl_refs,
+                    int_refs_by_language,
+                    backend,
+                    sim,
+                    config,
+                    checkers,
+                    "%s/t%d/L%d/S%d" % (problem.id, trial_index, layer, spec.slot),
+                    run_functional,
+                )
+                for spec in specs
+            ]
+            outcomes = [f.result() for f in futures]
             # barrier: canonical slot order, then batch insertion
             outcomes.sort(key=lambda o: o.slot)
             for outcome in outcomes:
@@ -310,9 +328,10 @@ def run_trial(
                 % (problem.id, trial_index)
             )
         agg_tag = "%s/t%d/L%d/S1" % (problem.id, trial_index, agg_layer)
-        source, agg_prompts, fallback = run_aggregator(
-            problem, refs, backend, templates["aggregator"], config.sampling, agg_tag
-        )
+        source, agg_prompts, fallback = pool.submit(
+            run_aggregator,
+            problem, refs, backend, templates["aggregator"], config.sampling, agg_tag,
+        ).result()
         for record in agg_prompts:
             writer.write(_llm_call_event(agg_layer, 1, record))
         writer.write(
@@ -326,7 +345,8 @@ def run_trial(
         )
 
         if config.enable_sim_refinement and config.max_sim_refine_rounds > 0:
-            rounds, refine_prompts = sim_refine(
+            rounds, refine_prompts = pool.submit(
+                sim_refine,
                 source,
                 problem,
                 sim,
@@ -337,21 +357,23 @@ def run_trial(
                 config.max_sim_refine_rounds,
                 agg_tag,
                 run_functional,
-            )
+            ).result()
             for record in refine_prompts:
                 writer.write(_llm_call_event(agg_layer, 1, record))
             chosen = best_round(rounds)
             final_source = chosen.source
             final_score: QualityScore = chosen.score
             if not run_functional:
-                final_score, _ = gated_evaluation(
-                    final_source, problem, sim, config.score_constants, True
-                )
+                final_score, _ = pool.submit(
+                    gated_evaluation,
+                    final_source, problem, sim, config.score_constants, True,
+                ).result()
         else:
             final_source = source
-            final_score, _ = gated_evaluation(
-                final_source, problem, sim, config.score_constants, True
-            )
+            final_score, _ = pool.submit(
+                gated_evaluation,
+                final_source, problem, sim, config.score_constants, True,
+            ).result()
 
         result = TrialResult(
             problem_id=problem.id,
@@ -385,6 +407,8 @@ def run_trial(
         return result
     finally:
         writer.close()
+        if own_pool is not None:
+            own_pool.shutdown()
 
 
 def _layer_stats(
@@ -456,8 +480,12 @@ def run_benchmark(
 ) -> list[TrialResult]:
     """trials x problems, concurrently, one trace file per trial.
 
-    The simulator and the checkers are put behind one VerdictMemo for this
-    call, so each distinct candidate is evaluated once per run.
+    All trials share one pool of jobs x layer_width slot workers, the most
+    agent tasks that may be in flight at once.  Trials run on coordinator
+    threads that only submit to it and wait.  The simulator and the
+    checkers are put behind one VerdictMemo for this call, so each
+    distinct candidate is evaluated once per run.  The first error a trial
+    raises (an AuthError, say) cancels all queued work and is re-raised.
     """
     benchmark.validate()
     config.validate()
@@ -471,7 +499,9 @@ def run_benchmark(
         run_dir, benchmark, config, getattr(backend, "backend_id", "unknown")
     )
 
-    def one(problem: DesignProblem, trial: int) -> TrialResult:
+    def one(
+        problem: DesignProblem, trial: int, slots: ThreadPoolExecutor
+    ) -> TrialResult:
         trace_path = os.path.join(run_dir, problem.id, str(trial), "trace.jsonl")
         try:
             return run_trial(
@@ -485,6 +515,7 @@ def run_benchmark(
                 templates=templates,
                 checkers=checkers,
                 run_functional=run_functional,
+                pool=slots,
             )
         except PipelineFailureError:
             # the trial is lost, not the run; scored as a non-pass
@@ -498,11 +529,18 @@ def run_benchmark(
                 wall_ms=0,
             )
 
-    tasks = [
-        (problem, trial)
-        for problem in benchmark.problems
-        for trial in range(config.trials)
-    ]
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = [pool.submit(one, problem, trial) for problem, trial in tasks]
+    width = max(1, jobs) * config.layer_width
+    with ThreadPoolExecutor(max_workers=width) as slots, \
+            ThreadPoolExecutor(max_workers=width) as coordinators:
+        futures = [
+            coordinators.submit(one, problem, trial, slots)
+            for problem in benchmark.problems
+            for trial in range(config.trials)
+        ]
+        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+        failed = [f for f in futures if f in done and f.exception() is not None]
+        if failed:
+            for pool in (coordinators, slots):
+                pool.shutdown(wait=False, cancel_futures=True)
+            raise failed[0].exception()
         return [f.result() for f in futures]

@@ -28,11 +28,19 @@ from verimoa.cache import (
     IntermediateLanguage,
 )
 from verimoa.agents import RefineRound
-from verimoa.errors import MissingFileError, SimulatorUnavailableError
+from verimoa.errors import AuthError, MissingFileError, SimulatorUnavailableError
 from verimoa.problems import Sampling
 from verimoa.scoring import ScoreBranch, ScoreConstants
 
 SAMPLING = Sampling()
+
+
+class AuthFailingBackend:
+    backend_id = "auth-failing"
+
+    def generate(self, request):
+        raise AuthError("backend rejected credentials (HTTP 401)")
+
 
 TEMPLATES = {
     "direct": "TASK:{description}\n{references}",
@@ -391,6 +399,10 @@ class TestSimRefine:
         assert [r.round_index for r in rounds] == [0]
         assert prompts == []
 
+    def test_auth_error_propagates(self, fake_sim):
+        with pytest.raises(AuthError):
+            self.refine(CLEAN_MODULE + "// FUNCFAIL", AuthFailingBackend(), fake_sim)
+
     def test_round_zero_simulator_error_propagates(self):
         with pytest.raises(SimulatorUnavailableError):
             self.refine(CLEAN_MODULE, ScriptedBackend([]), RaisingSimulator(0))
@@ -434,6 +446,14 @@ class TestBestRound:
 
 
 class TestAggregator:
+    def test_auth_error_propagates(self):
+        refs = [make_entry(1, 1, 1.0, source="module best; endmodule")]
+        with pytest.raises(AuthError):
+            run_aggregator(
+                make_problem(), refs, AuthFailingBackend(), TEMPLATES, SAMPLING,
+                "p/t1/L3/S1",
+            )
+
     def test_requires_references(self):
         with pytest.raises(ValueError):
             run_aggregator(

@@ -4,6 +4,7 @@ import threading
 import pytest
 import requests
 
+from conftest import CLEAN_MODULE, FakeSimulator, make_problem
 from verimoa.backends import (
     GenerationRequest,
     HttpBackend,
@@ -22,6 +23,9 @@ from verimoa.errors import (
     SchemaError,
     TranscriptMissError,
 )
+from verimoa.harness import pass_table, scan_run
+from verimoa.orchestrator import run_benchmark
+from verimoa.problems import Benchmark, RunConfig
 
 
 def req(user="design a widget", system="You write Verilog.", tag="p/t1/L1/S1/direct", **kw):
@@ -203,6 +207,65 @@ class TestReplay:
         transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
         replay = ReplayBackend.from_transcript(str(transcript))
         assert replay.generate(req()).text == "first"
+
+    def test_exact_tag_wins_over_first_record(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        key = request_key(req())
+        lines = [
+            json.dumps({"key": key, "request_tag": "p/t0/L1/S1/direct",
+                        "response_text": "trial0"}),
+            json.dumps({"key": key, "request_tag": "p/t1/L1/S1/direct",
+                        "response_text": "trial1"}),
+        ]
+        transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        replay = ReplayBackend.from_transcript(str(transcript))
+        assert replay.generate(req(tag="p/t1/L1/S1/direct")).text == "trial1"
+        assert replay.generate(req(tag="p/t0/L1/S1/direct")).text == "trial0"
+        assert replay.generate(req(tag="q/t5/L1/S1/direct")).text == "trial0"
+
+    def test_replay_answers_per_trial(self, tmp_path):
+        # Both trials send the same first prompt; trial 0 is answered with
+        # a failing design, trial 1 with a passing one.
+        solution = "```verilog\n%s\n```" % CLEAN_MODULE.strip("\n")
+        rules = RuleBackend([
+            ResponseRule(text="```verilog\n%s// FUNCFAIL\n```" % CLEAN_MODULE,
+                         tag_contains="/t0/"),
+            ResponseRule(text=solution),
+        ])
+        bench = Benchmark(name="one", problems=(make_problem(),))
+        config = RunConfig(
+            proposer_layers=1, layer_width=1, mixture=("Base",), top_n_hdl=1,
+            trials=2,
+        )
+        transcript = str(tmp_path / "transcript.jsonl")
+
+        def pass_at_1(backend, name):
+            run_dir = str(tmp_path / name)
+            run_benchmark(bench, config, backend, FakeSimulator(), run_dir, jobs=1)
+            table, _ = pass_table(scan_run(run_dir), [1])
+            return table.per_k[1]
+
+        recorded = pass_at_1(TranscriptRecorder(rules, transcript), "record")
+        replayed = pass_at_1(ReplayBackend.from_transcript(transcript), "replay")
+        assert recorded == replayed == 0.5
+
+    def test_recorder_close_sorts_by_tag(self, tmp_path):
+        transcript = str(tmp_path / "t.jsonl")
+        recorder = TranscriptRecorder(ScriptedBackend(["b", "a", "c"]), transcript)
+        for tag in ("p/t1/L1/S1/direct", "p/t0/L2/S1/direct", "p/t0/L1/S1/direct"):
+            recorder.generate(req(tag=tag))
+        recorder.close()
+        with open(transcript, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        assert [r["request_tag"] for r in records] == [
+            "p/t0/L1/S1/direct", "p/t0/L2/S1/direct", "p/t1/L1/S1/direct",
+        ]
+        assert [r["response_text"] for r in records] == ["c", "a", "b"]
+
+    def test_recorder_close_without_traffic(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        TranscriptRecorder(ScriptedBackend([]), str(transcript)).close()
+        assert not transcript.exists()
 
     def test_miss_is_hard_error(self):
         with pytest.raises(TranscriptMissError):

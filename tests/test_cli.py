@@ -3,8 +3,15 @@ import os
 
 import pytest
 
-from conftest import CLEAN_MODULE, TOY_BENCH
+from conftest import (
+    CLEAN_MODULE,
+    PROGRESSIVE_CONFIG,
+    PROGRESSIVE_RULES,
+    TOY_BENCH,
+)
+from verimoa import cli
 from verimoa.cli import main
+from verimoa.errors import AuthError
 
 VERILOG_REPLY = "```verilog\n%s\n```" % CLEAN_MODULE.strip("\n")
 
@@ -140,6 +147,42 @@ class TestRun:
         )
         assert rc == 3
         assert capsys.readouterr().err.startswith("pipeline_failure:")
+
+    def test_auth_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        class Rejecting:
+            backend_id = "rejecting"
+
+            def generate(self, request):
+                calls.append(request.request_tag)
+                raise AuthError("backend rejected credentials (HTTP 401)")
+
+        monkeypatch.setattr(cli, "load_scripted", lambda path: Rejecting())
+        rc = run_cli(
+            "run", "--config", PROGRESSIVE_CONFIG, "--benchmark", TOY_BENCH,
+            "--out", str(tmp_path / "out"), "--backend", "scripted:unused",
+            "--sim", "stub", "--jobs", "4",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("auth_error:")
+        assert 1 <= len(calls) < 60
+
+    def test_transcript_is_canonical(self, tmp_path, capsys):
+        transcripts = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            rc = run_cli(
+                "run", "--config", PROGRESSIVE_CONFIG, "--benchmark", TOY_BENCH,
+                "--out", str(out), "--backend", "scripted:%s" % PROGRESSIVE_RULES,
+                "--sim", "stub", "--jobs", "4",
+            )
+            assert rc == 0
+            transcripts.append((out / "transcript.jsonl").read_bytes())
+        assert transcripts[0] == transcripts[1]
+        tags = [json.loads(line)["request_tag"] for line in transcripts[0].splitlines()]
+        assert len(tags) == 110
+        assert tags == sorted(tags)
 
 
 class TestScore:

@@ -1,17 +1,29 @@
 import json
 import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import CLEAN_MODULE, FakeSimulator, make_problem
+from conftest import (
+    CLEAN_MODULE,
+    PROGRESSIVE_CONFIG,
+    TOY_BENCH,
+    FakeSimulator,
+    make_problem,
+)
 from verimoa import __version__
 from verimoa.backends import ResponseRule, RuleBackend, ScriptedBackend
-from verimoa.errors import PipelineFailureError
+from verimoa.errors import AuthError, BackendExhaustedError, PipelineFailureError
 from verimoa.orchestrator import run_benchmark, run_trial, write_manifest
 from verimoa.problems import (
     Benchmark,
     RunConfig,
     config_from_json,
+    load_benchmark,
+    load_config,
 )
 from verimoa.simulator import stub_simulator
 
@@ -333,3 +345,129 @@ class TestRunLayout:
         assert trial_result["syntax_pass"] is True
         assert trial_result["functional_pass"] is True
         assert trial_result["candidate_count"] == result.candidate_count
+
+
+class BarrierBackend:
+    """Holds trial 0's first layer-1 slot until trial 1 makes a call."""
+
+    backend_id = "barrier"
+
+    def __init__(self) -> None:
+        self.inner = happy_backend()
+        self.trial1_called = threading.Event()
+
+    def generate(self, request):
+        if "/t1/" in request.request_tag:
+            self.trial1_called.set()
+        elif "/t0/L1/S1/" in request.request_tag:
+            if not self.trial1_called.wait(5.0):
+                raise BackendExhaustedError("trial 1 never ran while trial 0 waited")
+        return self.inner.generate(request)
+
+
+class PeakBackend:
+    """Records the most generate calls in flight at once."""
+
+    backend_id = "peak"
+
+    def __init__(self) -> None:
+        self.inner = happy_backend()
+        self.active = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.01)
+            return self.inner.generate(request)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+class AuthFailingBackend:
+    backend_id = "auth-failing"
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request):
+        with self._lock:
+            self.calls += 1
+        raise AuthError("backend rejected credentials (HTTP 401)")
+
+
+class TestScheduler:
+    def test_other_trials_fill_the_barrier(self, tmp_path):
+        # One job, two slots per layer: trial 1 can only make progress
+        # while trial 0 waits if both share the slot pool.
+        bench = Benchmark(name="one", problems=(make_problem(),))
+        config = small_config(layer_width=2, mixture=("Base", "Base"), trials=2)
+        run_dir = tmp_path / "run"
+        results = run_benchmark(
+            bench, config, BarrierBackend(), FakeSimulator(), str(run_dir), jobs=1
+        )
+        for trial in (0, 1):
+            events = read_trace(str(run_dir / "widget" / str(trial) / "trace.jsonl"))
+            assert [e for e in events if e["event"] == "agent_error"] == []
+        assert [r.final_verdicts for r in results] == [(True, True)] * 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_agent_tasks_in_flight_stay_under_the_ceiling(self, tmp_path, jobs):
+        bench = Benchmark(name="two", problems=(make_problem(), make_problem("p2")))
+        config = small_config(layer_width=2, mixture=("Base", "Base"), trials=2)
+        backend = PeakBackend()
+        run_benchmark(
+            bench, config, backend, FakeSimulator(), str(tmp_path / "run"), jobs=jobs
+        )
+        assert 1 <= backend.peak <= jobs * config.layer_width
+
+    def test_traces_do_not_depend_on_jobs_under_stress(self, tmp_path):
+        # Many trials on one shared pool, with thread switches forced often.
+        bench = Benchmark(name="two", problems=(make_problem(), make_problem("p2")))
+        config = small_config(trials=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for jobs in (1, 4):
+                run_benchmark(
+                    bench, config, happy_backend(), FakeSimulator(),
+                    str(tmp_path / str(jobs)), jobs=jobs,
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for pid in ("widget", "p2"):
+            for trial in range(4):
+                rel = os.path.join(pid, str(trial), "trace.jsonl")
+                with open(tmp_path / "1" / rel, "rb") as fa, \
+                        open(tmp_path / "4" / rel, "rb") as fb:
+                    assert fa.read() == fb.read()
+
+    def test_shared_pool_trace_matches_own_pool(self, tmp_path):
+        own = str(tmp_path / "own.jsonl")
+        shared = str(tmp_path / "shared.jsonl")
+        run_trial(
+            make_problem(), small_config(), happy_backend(), FakeSimulator(),
+            seed=7, trial_index=0, trace_path=own,
+        )
+        with ThreadPoolExecutor(max_workers=5) as pool:
+            run_trial(
+                make_problem(), small_config(), happy_backend(), FakeSimulator(),
+                seed=7, trial_index=0, trace_path=shared, pool=pool,
+            )
+        with open(own, "rb") as fa, open(shared, "rb") as fb:
+            assert fa.read() == fb.read()
+
+    def test_auth_error_stops_the_run(self, tmp_path):
+        backend = AuthFailingBackend()
+        with pytest.raises(AuthError):
+            run_benchmark(
+                load_benchmark(TOY_BENCH), load_config(PROGRESSIVE_CONFIG),
+                backend, FakeSimulator(), str(tmp_path / "run"), jobs=4,
+            )
+        # Swallowing the error would send all 60 doomed requests.
+        assert 1 <= backend.calls < 60
