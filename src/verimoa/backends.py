@@ -76,7 +76,11 @@ def request_key(request: GenerationRequest) -> str:
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completion client with bounded retries."""
+    """OpenAI-compatible chat-completion client with bounded retries.
+
+    It sets no concurrency limit of its own: run_benchmark puts every
+    backend behind one gate of jobs x layer_width calls.
+    """
 
     def __init__(
         self,
@@ -87,7 +91,6 @@ class HttpBackend:
         max_retries: int = 3,
         backoff_s: float = 0.5,
         request_timeout_s: float = 120.0,
-        max_concurrency: int = 6,
     ) -> None:
         self.endpoint = endpoint
         self.model = model
@@ -96,7 +99,6 @@ class HttpBackend:
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.request_timeout_s = request_timeout_s
-        self._gate = threading.Semaphore(max_concurrency)
         self.backend_id = "http:%s" % model
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
@@ -119,13 +121,12 @@ class HttpBackend:
                 time.sleep(self.backoff_s * (2 ** (attempt - 1)))
             started = time.monotonic()
             try:
-                with self._gate:
-                    resp = self.session.post(
-                        self.endpoint,
-                        json=body,
-                        headers=headers,
-                        timeout=self.request_timeout_s,
-                    )
+                resp = self.session.post(
+                    self.endpoint,
+                    json=body,
+                    headers=headers,
+                    timeout=self.request_timeout_s,
+                )
             except requests.RequestException as exc:
                 last_error = str(exc)
                 continue
@@ -306,6 +307,19 @@ def load_scripted(path: str):
             rules.append(ResponseRule(text=record["text"], **when))
         return RuleBackend(rules)
     return ScriptedBackend([record["text"] for _, record in records])
+
+
+class GatedBackend:
+    """Wraps a backend, letting at most ``limit`` generate calls in at once."""
+
+    def __init__(self, inner, limit: int) -> None:
+        self.inner = inner
+        self.backend_id = getattr(inner, "backend_id", "unknown")
+        self._gate = threading.Semaphore(limit)
+
+    def generate(self, request: GenerationRequest) -> GenerationResponse:
+        with self._gate:
+            return self.inner.generate(request)
 
 
 class TranscriptRecorder:

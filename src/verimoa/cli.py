@@ -149,11 +149,16 @@ def _cmd_run(args) -> int:
         )
     finally:
         backend.close()
-    if results and all(r.candidate_count == 0 for r in results):
-        raise PipelineFailureError(
-            "all %d trials failed before aggregation" % len(results)
-        )
     scan = scan_run(args.out)
+    if results and all(r.candidate_count == 0 for r in results):
+        message = "all %d trials failed before aggregation" % len(results)
+        # Every slot was lost to an exhausted backend: the environment
+        # is at fault, not the pipeline.
+        if set(scan.agent_errors) == {BackendExhaustedError.error_code}:
+            raise BackendExhaustedError(
+                "%s; every agent failed on an exhausted backend" % message
+            )
+        raise PipelineFailureError(message)
     table, _ = pass_table(scan, [1])
     print(
         "problems=%d trials=%d pass@1=%.3f"
@@ -239,8 +244,10 @@ def build_parser() -> _Parser:
     p_run.add_argument("--endpoint", default=None, help="HTTP backend endpoint URL")
     p_run.add_argument("--model", default=None, help="HTTP backend model name")
     p_run.add_argument("--jobs", type=int, default=4,
-                       help="at most jobs x layer_width agent tasks in flight, "
-                            "shared by all trials (default 4)")
+                       help="at most jobs x layer_width LLM requests in flight "
+                            "across all trials, HTTP included; simulator spawns "
+                            "stay at one per CPU, checkers have no limit "
+                            "(default 4)")
     p_run.add_argument("--templates", default=None,
                        help="prompt template directory override")
     p_run.add_argument("--cpp-check-cmd", default=None,

@@ -165,6 +165,7 @@ class RunScan:
     layer_vendi: dict[int, list[float]]
     layer_rank_values: dict[int, dict[int, list[float]]]
     incomplete: int
+    agent_errors: Counter  # error_code -> failed agent slots, whole run
 
 
 def scan_run(run_dir: str) -> RunScan:
@@ -194,6 +195,7 @@ def scan_run(run_dir: str) -> RunScan:
         layer_vendi={},
         layer_rank_values={},
         incomplete=0,
+        agent_errors=Counter(),
     )
 
     for problem_id in problems:
@@ -220,6 +222,8 @@ def scan_run(run_dir: str) -> RunScan:
                             event.get("window_values", []), start=1
                         ):
                             ranks.setdefault(rank, []).append(value)
+                elif kind == "agent_error":
+                    scan.agent_errors[event["error_code"]] += 1
                 elif kind == "trial_result":
                     saw_result = True
                     if event["syntax_pass"] and event["functional_pass"]:

@@ -7,17 +7,19 @@ slot order.  The trace file therefore has one canonical event order per
 run, independent of thread scheduling, and carries no timing fields --
 replay runs are byte-identical.
 
-All trials of one run_benchmark call share one pool of jobs x layer_width
-workers, so while a trial waits at a layer barrier, other trials' slots
-use the idle workers.  Every LLM, checker and simulator call -- proposer
-slots, the aggregator, its refinement and the final evaluation -- runs on
-that pool, so at most jobs x layer_width agent tasks are in flight at once.
+Each trial runs its layer_width slots on its own workers; the aggregator,
+its refinement and the final evaluation run on the trial's own thread.
+run_benchmark runs jobs x layer_width trials at once and gives each
+resource its own ceiling: at most jobs x layer_width LLM requests in
+flight (one gate in front of the backend), at most one simulator spawn
+per CPU (SimulatorConfig.max_concurrency), and no ceiling of their own
+for the checkers.  A slot that waits for the simulator holds no LLM seat.
 
 Trial failures degrade, never abort the benchmark: a failing agent loses
 its slot for that layer, an empty cache at aggregation fails the trial,
 and a failed trial counts as a non-pass.  An AuthError is the exception:
-no later request can succeed, so it cancels the queued work and stops the
-run.
+no later request can succeed, so it cancels the queued trials and stops
+the run.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .agents import (
     sim_refine,
     stub_checker,
 )
+from .backends import GatedBackend
 from .cache import (
     AgentPath,
     CandidateId,
@@ -203,14 +206,13 @@ def run_trial(
     templates: dict[str, dict[str, str]] | None = None,
     checkers: dict[IntermediateLanguage, IntermediateChecker] | None = None,
     run_functional: bool = True,
-    pool: ThreadPoolExecutor | None = None,
 ) -> TrialResult:
     """One full pipeline episode for one problem. Raises PipelineFailure
     when no candidate survives to aggregation.
 
-    Every agent task runs on ``pool``; without one, the trial makes its own
-    pool of layer_width workers.  This thread only waits and writes the
-    trace, so the trace order does not depend on which worker ran what.
+    The slots of each layer run on the trial's own pool of layer_width
+    workers; this thread writes the trace in slot order at each barrier,
+    so the trace order does not depend on which worker ran what.
     """
     config.validate()
     started = time.monotonic()
@@ -223,9 +225,7 @@ def run_trial(
         for slot, path in enumerate(config.mixture_paths(), start=1)
     ]
     cache = GlobalCache()
-    own_pool = None
-    if pool is None:
-        pool = own_pool = ThreadPoolExecutor(max_workers=config.layer_width)
+    pool = ThreadPoolExecutor(max_workers=config.layer_width)
     writer = TraceWriter(trace_path)
     per_layer: list[LayerStats] = []
     try:
@@ -328,10 +328,9 @@ def run_trial(
                 % (problem.id, trial_index)
             )
         agg_tag = "%s/t%d/L%d/S1" % (problem.id, trial_index, agg_layer)
-        source, agg_prompts, fallback = pool.submit(
-            run_aggregator,
-            problem, refs, backend, templates["aggregator"], config.sampling, agg_tag,
-        ).result()
+        source, agg_prompts, fallback = run_aggregator(
+            problem, refs, backend, templates["aggregator"], config.sampling, agg_tag
+        )
         for record in agg_prompts:
             writer.write(_llm_call_event(agg_layer, 1, record))
         writer.write(
@@ -345,8 +344,7 @@ def run_trial(
         )
 
         if config.enable_sim_refinement and config.max_sim_refine_rounds > 0:
-            rounds, refine_prompts = pool.submit(
-                sim_refine,
+            rounds, refine_prompts = sim_refine(
                 source,
                 problem,
                 sim,
@@ -357,23 +355,21 @@ def run_trial(
                 config.max_sim_refine_rounds,
                 agg_tag,
                 run_functional,
-            ).result()
+            )
             for record in refine_prompts:
                 writer.write(_llm_call_event(agg_layer, 1, record))
             chosen = best_round(rounds)
             final_source = chosen.source
             final_score: QualityScore = chosen.score
             if not run_functional:
-                final_score, _ = pool.submit(
-                    gated_evaluation,
-                    final_source, problem, sim, config.score_constants, True,
-                ).result()
+                final_score, _ = gated_evaluation(
+                    final_source, problem, sim, config.score_constants, True
+                )
         else:
             final_source = source
-            final_score, _ = pool.submit(
-                gated_evaluation,
-                final_source, problem, sim, config.score_constants, True,
-            ).result()
+            final_score, _ = gated_evaluation(
+                final_source, problem, sim, config.score_constants, True
+            )
 
         result = TrialResult(
             problem_id=problem.id,
@@ -407,8 +403,7 @@ def run_trial(
         return result
     finally:
         writer.close()
-        if own_pool is not None:
-            own_pool.shutdown()
+        pool.shutdown()
 
 
 def _layer_stats(
@@ -480,28 +475,28 @@ def run_benchmark(
 ) -> list[TrialResult]:
     """trials x problems, concurrently, one trace file per trial.
 
-    All trials share one pool of jobs x layer_width slot workers, the most
-    agent tasks that may be in flight at once.  Trials run on coordinator
-    threads that only submit to it and wait.  The simulator and the
-    checkers are put behind one VerdictMemo for this call, so each
-    distinct candidate is evaluated once per run.  The first error a trial
-    raises (an AuthError, say) cancels all queued work and is re-raised.
+    Up to jobs x layer_width trials run at once, each with its own slot
+    workers.  The backend is put behind one gate of jobs x layer_width
+    seats, the most LLM requests in flight across all trials; the
+    simulator keeps its own gate of one spawn per CPU, and the checkers
+    have no ceiling of their own.  The simulator and the checkers are put
+    behind one VerdictMemo for this call, so each distinct candidate is
+    evaluated once per run.  The first error a trial raises (an AuthError,
+    say) cancels the queued trials and is re-raised.
     """
     benchmark.validate()
     config.validate()
     templates = templates or load_templates()
     if checkers is None:
         checkers = _stub_checkers(config)
+    width = max(1, jobs) * config.layer_width
+    backend = GatedBackend(backend, width)
     memo = VerdictMemo()
     sim = MemoSimulator(sim, memo)
     checkers = {lang: MemoChecker(c, memo) for lang, c in checkers.items()}
-    write_manifest(
-        run_dir, benchmark, config, getattr(backend, "backend_id", "unknown")
-    )
+    write_manifest(run_dir, benchmark, config, backend.backend_id)
 
-    def one(
-        problem: DesignProblem, trial: int, slots: ThreadPoolExecutor
-    ) -> TrialResult:
+    def one(problem: DesignProblem, trial: int) -> TrialResult:
         trace_path = os.path.join(run_dir, problem.id, str(trial), "trace.jsonl")
         try:
             return run_trial(
@@ -515,7 +510,6 @@ def run_benchmark(
                 templates=templates,
                 checkers=checkers,
                 run_functional=run_functional,
-                pool=slots,
             )
         except PipelineFailureError:
             # the trial is lost, not the run; scored as a non-pass
@@ -529,18 +523,15 @@ def run_benchmark(
                 wall_ms=0,
             )
 
-    width = max(1, jobs) * config.layer_width
-    with ThreadPoolExecutor(max_workers=width) as slots, \
-            ThreadPoolExecutor(max_workers=width) as coordinators:
+    with ThreadPoolExecutor(max_workers=width) as trials:
         futures = [
-            coordinators.submit(one, problem, trial, slots)
+            trials.submit(one, problem, trial)
             for problem in benchmark.problems
             for trial in range(config.trials)
         ]
         done, _ = wait(futures, return_when=FIRST_EXCEPTION)
         failed = [f for f in futures if f in done and f.exception() is not None]
         if failed:
-            for pool in (coordinators, slots):
-                pool.shutdown(wait=False, cancel_futures=True)
+            trials.shutdown(wait=False, cancel_futures=True)
             raise failed[0].exception()
         return [f.result() for f in futures]

@@ -229,17 +229,6 @@ def fired_rules(facts: StructuralFacts) -> dict[str, list[str]]:
     return {"severe": severe, "moderate": moderate, "minor": minor}
 
 
-def severity_penalties(
-    facts: StructuralFacts, constants: ScoreConstants
-) -> tuple[float, float, float]:
-    """Capped penalty mass per severity class for a functional failure."""
-    fired = fired_rules(facts)
-    p_severe = min(sum(constants.weight(r) for r in fired["severe"]), constants.cap_severe)
-    p_moderate = min(sum(constants.weight(r) for r in fired["moderate"]), constants.cap_moderate)
-    p_minor = min(sum(constants.weight(r) for r in fired["minor"]), constants.cap_minor)
-    return p_severe, p_moderate, p_minor
-
-
 # (check-id, cap attribute, predicate) tables for the fallback branch.
 # Logic credits are gated on the source containing any logic at all, so a
 # bare port-list module earns structure and format credit but zero logic.
@@ -267,22 +256,6 @@ def _format_checks(facts: StructuralFacts) -> list[tuple[str, bool]]:
         ("format_nonempty", facts.token_count > 0),
         ("format_length", facts.token_count >= 10),
     ]
-
-
-def fallback_credits(
-    facts: StructuralFacts, constants: ScoreConstants
-) -> tuple[float, float, float]:
-    """Structural credit per class for code that failed the syntax gate."""
-
-    def credit(checks: list[tuple[str, bool]], cap: float) -> float:
-        share = cap / len(checks)
-        return min(sum(share for _, ok in checks if ok), cap)
-
-    return (
-        credit(_structure_checks(facts), constants.cap_structure),
-        credit(_logic_checks(facts), constants.cap_logic),
-        credit(_format_checks(facts), constants.cap_format),
-    )
 
 
 def _functional_fail_score(facts: StructuralFacts, constants: ScoreConstants) -> QualityScore:

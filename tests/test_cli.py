@@ -11,7 +11,8 @@ from conftest import (
 )
 from verimoa import cli
 from verimoa.cli import main
-from verimoa.errors import AuthError
+from verimoa.backends import load_scripted
+from verimoa.errors import AuthError, BackendExhaustedError
 
 VERILOG_REPLY = "```verilog\n%s\n```" % CLEAN_MODULE.strip("\n")
 
@@ -48,6 +49,11 @@ def mini_run(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def read_events(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 class TestHelp:
@@ -167,6 +173,48 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("auth_error:")
         assert 1 <= len(calls) < 60
+
+    def test_dead_backend_exits_two(self, tmp_path, capsys):
+        # An empty script exhausts on every request, so every trial dies.
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        rc = run_cli(
+            "run", "--config", PROGRESSIVE_CONFIG, "--benchmark", TOY_BENCH,
+            "--out", str(tmp_path / "out"), "--backend", "scripted:%s" % empty,
+            "--sim", "stub", "--jobs", "4",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("backend_exhausted:")
+
+    def test_one_exhausted_call_degrades_only_its_slot(self, tmp_path, monkeypatch, capsys):
+        rules = load_scripted(PROGRESSIVE_RULES)
+
+        class ExhaustedOnce:
+            backend_id = "exhausted-once"
+
+            def generate(self, request):
+                if request.request_tag.startswith("mux2/t0/L1/S1/"):
+                    raise BackendExhaustedError("3 attempts failed; last: HTTP 503")
+                return rules.generate(request)
+
+        monkeypatch.setattr(cli, "load_scripted", lambda path: ExhaustedOnce())
+        out = tmp_path / "out"
+        rc = run_cli(
+            "run", "--config", PROGRESSIVE_CONFIG, "--benchmark", TOY_BENCH,
+            "--out", str(out), "--backend", "scripted:unused",
+            "--sim", "stub", "--jobs", "4",
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("problems=5 trials=2 pass@1=")
+        errors = [
+            (pid, trial, event)
+            for pid in ("and2", "counter4", "dff", "mux2", "xor2")
+            for trial in (0, 1)
+            for event in read_events(out / pid / str(trial) / "trace.jsonl")
+            if event["event"] == "agent_error"
+        ]
+        assert [(pid, trial, e["layer"], e["slot"], e["error_code"])
+                for pid, trial, e in errors] == [("mux2", 0, 1, 1, "backend_exhausted")]
 
     def test_transcript_is_canonical(self, tmp_path, capsys):
         transcripts = []

@@ -3,7 +3,6 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,7 +14,13 @@ from conftest import (
     make_problem,
 )
 from verimoa import __version__
-from verimoa.backends import ResponseRule, RuleBackend, ScriptedBackend
+from verimoa.backends import (
+    GenerationResponse,
+    HttpBackend,
+    ResponseRule,
+    RuleBackend,
+    ScriptedBackend,
+)
 from verimoa.errors import AuthError, BackendExhaustedError, PipelineFailureError
 from verimoa.orchestrator import run_benchmark, run_trial, write_manifest
 from verimoa.problems import (
@@ -401,6 +406,85 @@ class AuthFailingBackend:
         raise AuthError("backend rejected credentials (HTTP 401)")
 
 
+class PerTrialBackend:
+    """Marks each answer with its trial and counts each trial's calls."""
+
+    backend_id = "per-trial"
+
+    def __init__(self) -> None:
+        self.calls = {0: 0, 1: 0}
+        self.cond = threading.Condition()
+
+    def generate(self, request):
+        trial = int(request.request_tag.split("/t")[1].split("/")[0])
+        with self.cond:
+            self.calls[trial] += 1
+            self.cond.notify_all()
+        source = "%s// trial %d" % (CLEAN_MODULE, trial)
+        return GenerationResponse("```verilog\n%s\n```" % source, self.backend_id)
+
+
+class CrossTrialSimulator(FakeSimulator):
+    """Holds each trial's evaluations until the other trial made two calls."""
+
+    def __init__(self, backend: PerTrialBackend) -> None:
+        super().__init__()
+        self.backend = backend
+
+    def _wait_for_other_trial(self, source: str) -> None:
+        other = 1 if "// trial 0" in source else 0
+        with self.backend.cond:
+            if not self.backend.cond.wait_for(
+                lambda: self.backend.calls[other] >= 2, timeout=5.0
+            ):
+                raise RuntimeError(
+                    "trial %d made under two calls while the other waited" % other
+                )
+
+    def syntax_test(self, source, problem):
+        self._wait_for_other_trial(source)
+        return super().syntax_test(source, problem)
+
+    def function_test(self, source, problem):
+        self._wait_for_other_trial(source)
+        return super().function_test(source, problem)
+
+
+class InFlightSession:
+    """A requests.Session stand-in recording the most posts in flight.
+
+    Each post waits until ``target`` posts are in flight at once, or, once
+    one such wait has timed out, not at all.
+    """
+
+    def __init__(self, target: int) -> None:
+        self.target = target
+        self.active = 0
+        self.peak = 0
+        self.gave_up = False
+        self._cond = threading.Condition()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._cond:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self._cond.notify_all()
+            if not self._cond.wait_for(
+                lambda: self.peak >= self.target or self.gave_up, timeout=2.0
+            ):
+                self.gave_up = True
+                self._cond.notify_all()
+            self.active -= 1
+        return InFlightResponse()
+
+
+class InFlightResponse:
+    status_code = 200
+
+    def json(self):
+        return {"choices": [{"message": {"content": VERILOG_REPLY}}]}
+
+
 class TestScheduler:
     def test_other_trials_fill_the_barrier(self, tmp_path):
         # One job, two slots per layer: trial 1 can only make progress
@@ -447,20 +531,28 @@ class TestScheduler:
                         open(tmp_path / "4" / rel, "rb") as fb:
                     assert fa.read() == fb.read()
 
-    def test_shared_pool_trace_matches_own_pool(self, tmp_path):
-        own = str(tmp_path / "own.jsonl")
-        shared = str(tmp_path / "shared.jsonl")
-        run_trial(
-            make_problem(), small_config(), happy_backend(), FakeSimulator(),
-            seed=7, trial_index=0, trace_path=own,
-        )
-        with ThreadPoolExecutor(max_workers=5) as pool:
-            run_trial(
-                make_problem(), small_config(), happy_backend(), FakeSimulator(),
-                seed=7, trial_index=0, trace_path=shared, pool=pool,
-            )
-        with open(own, "rb") as fa, open(shared, "rb") as fb:
-            assert fa.read() == fb.read()
+    def test_simulator_wait_holds_no_llm_seat(self, tmp_path):
+        # One job, two slots per layer, two trials: each trial's first
+        # evaluations wait until the other trial has made two LLM calls.
+        # That needs all four layer-1 slots to have called the backend,
+        # which only works if a slot waiting for the simulator holds no
+        # seat that another trial needs.
+        bench = Benchmark(name="one", problems=(make_problem(),))
+        config = small_config(layer_width=2, mixture=("Base", "Base"), trials=2)
+        backend = PerTrialBackend()
+        sim = CrossTrialSimulator(backend)
+        results = run_benchmark(bench, config, backend, sim, str(tmp_path / "run"), jobs=1)
+        assert [r.final_verdicts for r in results] == [(True, True)] * 2
+
+    def test_http_backend_honours_the_run_ceiling(self, tmp_path):
+        # jobs x layer_width = 8 is above the 6 the HTTP client once capped
+        # itself at; the run's gate is now the only ceiling.
+        bench = Benchmark(name="two", problems=(make_problem(), make_problem("p2")))
+        config = small_config(layer_width=2, mixture=("Base", "Base"), trials=4)
+        session = InFlightSession(target=7)
+        backend = HttpBackend("http://unit.test/v1/chat", "m1", api_key="k", session=session)
+        run_benchmark(bench, config, backend, FakeSimulator(), str(tmp_path / "run"), jobs=4)
+        assert 6 < session.peak <= 4 * config.layer_width
 
     def test_auth_error_stops_the_run(self, tmp_path):
         backend = AuthFailingBackend()

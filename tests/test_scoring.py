@@ -10,6 +10,7 @@ from verimoa.analyzer import AlwaysBlockFacts, Sensitivity, StructuralFacts, ext
 from verimoa.errors import InvariantViolationError, SchemaError
 from verimoa.scoring import (
     DEFAULT_RULE_WEIGHTS,
+    MODERATE_RULES,
     RULE_BLOCKING_IN_SEQ,
     RULE_CASE_NO_DEFAULT,
     RULE_COMB_FEEDBACK,
@@ -22,11 +23,9 @@ from verimoa.scoring import (
     RULE_UNBALANCED,
     ScoreBranch,
     ScoreConstants,
-    fallback_credits,
     fired_rules,
     score_constants_from_json,
     score_from_facts,
-    severity_penalties,
 )
 
 GOOD = "module m(input a, output y); assign y = a; endmodule"
@@ -156,6 +155,16 @@ class TestRules:
         assert fired_rules(facts)["severe"].count(RULE_MULTI_DRIVEN) == 1
 
 
+def credit_by_class(breakdown):
+    """The fallback breakdown's credit summed per check class."""
+    totals = {}
+    for rule, amount in breakdown:
+        cls = rule.split("_")[0]
+        if cls in ("structure", "logic", "format"):
+            totals[cls] = totals.get(cls, 0.0) + amount
+    return totals
+
+
 class TestPenaltiesAndCredits:
     def test_moderate_penalties_capped(self):
         block = AlwaysBlockFacts(
@@ -168,23 +177,38 @@ class TestPenaltiesAndCredits:
         )
         facts = facts_firing(always_blocks=[block, comb], case_without_default=1)
         constants = ScoreConstants()
-        _, moderate, _ = severity_penalties(facts, constants)
+        score = score_from_facts(facts, constants, True, False)
         # Five moderate rules at 0.05 would be 0.25; the cap holds at 0.15.
-        assert moderate == constants.cap_moderate
+        moderate = [(r, a) for r, a in score.breakdown if r in MODERATE_RULES]
+        assert sorted(moderate) == sorted((r, -0.05) for r in MODERATE_RULES)
+        adjustment = dict(score.breakdown)["moderate_cap_adjustment"]
+        assert adjustment == pytest.approx(0.25 - constants.cap_moderate)
+        assert len(score.breakdown) == 6
+        assert score.value == pytest.approx(constants.q_base - constants.cap_moderate)
 
     def test_fallback_full_credit(self):
         facts = facts_firing(assign_count=1, has_conditional=True, token_count=20)
         constants = ScoreConstants()
-        structure, logic, fmt = fallback_credits(facts, constants)
-        assert structure == pytest.approx(constants.cap_structure)
-        assert logic == pytest.approx(constants.cap_logic)
-        assert fmt == pytest.approx(constants.cap_format)
+        score = score_from_facts(facts, constants, False, False)
+        assert credit_by_class(score.breakdown) == {
+            "structure": pytest.approx(constants.cap_structure),
+            "logic": pytest.approx(constants.cap_logic),
+            "format": pytest.approx(constants.cap_format),
+        }
+        full = constants.cap_structure + constants.cap_logic + constants.cap_format
+        assert score.value == pytest.approx(constants.fallback_tighten * full)
 
     def test_logic_credit_gated_on_logic(self):
         # A bare port-list module has structure and format but no logic.
         facts = facts_firing(assign_count=0, always_blocks=[])
-        _, logic, _ = fallback_credits(facts, ScoreConstants())
-        assert logic == 0.0
+        constants = ScoreConstants()
+        score = score_from_facts(facts, constants, False, False)
+        credits = credit_by_class(score.breakdown)
+        assert "logic" not in credits
+        assert set(credits) == {"structure", "format"}
+        assert score.value == pytest.approx(
+            constants.fallback_tighten * sum(credits.values())
+        )
 
 
 class TestScoreFromFacts:
