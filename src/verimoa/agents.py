@@ -43,7 +43,7 @@ from .errors import (
 )
 from .problems import DesignProblem, Sampling
 from .scoring import QualityScore, ScoreConstants, score_from_facts
-from .simulator import SimPhase, stub_script_cmd
+from .simulator import SimPhase, child_env, stub_script_cmd
 
 TEMPLATE_NAMES = {
     "base": ("direct", "sim_refine"),
@@ -224,6 +224,7 @@ class IntermediateChecker:
                     stdout=subprocess.PIPE,
                     stderr=subprocess.STDOUT,
                     timeout=self.timeout_ms / 1000.0,
+                    env=child_env(),
                 )
             except subprocess.TimeoutExpired:
                 return "fail", self.timeout_diagnostics()

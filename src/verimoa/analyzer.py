@@ -386,6 +386,25 @@ def _analyze_always(toks: list[Token], kw_index: int) -> tuple[AlwaysBlockFacts,
     return facts, end, sens_reset or body_reset
 
 
+def _scan_case(toks: list[Token], start: int, limit: int) -> tuple[int, bool]:
+    """Scan the case opened at ``toks[start]`` up to its ``endcase`` (or
+    ``limit``); returns (index after it, whether it has its own default)."""
+    depth = 1
+    has_default = False
+    j = start + 1
+    while j < limit and depth > 0:
+        tok = toks[j]
+        if tok.kind is TokKind.KEYWORD:
+            if tok.text in _CASE_KWS:
+                depth += 1
+            elif tok.text == "endcase":
+                depth -= 1
+            elif tok.text == "default" and depth == 1:
+                has_default = True
+        j += 1
+    return j, has_default
+
+
 def extract_facts(source: str) -> StructuralFacts:
     """Compute structural facts for arbitrary (possibly broken) Verilog."""
     toks = _code_tokens(tokenize(source))
@@ -396,8 +415,6 @@ def extract_facts(source: str) -> StructuralFacts:
         for t in toks
     )
 
-    begin_count = 0
-    end_count = 0
     i = 0
     n = len(toks)
     while i < n:
@@ -412,10 +429,6 @@ def extract_facts(source: str) -> StructuralFacts:
                 facts.has_endmodule = True
             elif t.text in ("input", "output", "inout"):
                 facts.has_port_directions = True
-            elif t.text == "begin":
-                begin_count += 1
-            elif t.text == "end":
-                end_count += 1
             elif t.text == "assign":
                 facts.assign_count += 1
                 j = i + 1
@@ -425,27 +438,11 @@ def extract_facts(source: str) -> StructuralFacts:
                     for name in _lhs_signals(toks, j).values():
                         facts.driven_signals[name] = facts.driven_signals.get(name, 0) + 1
             elif t.text in _CASE_KWS:
-                depth = 1
-                has_default = False
-                j = i + 1
-                while j < n and depth > 0:
-                    if toks[j].kind is TokKind.KEYWORD:
-                        if toks[j].text in _CASE_KWS:
-                            depth += 1
-                        elif toks[j].text == "endcase":
-                            depth -= 1
-                        elif toks[j].text == "default" and depth == 1:
-                            has_default = True
-                        elif toks[j].text == "begin":
-                            begin_count += 1
-                        elif toks[j].text == "end":
-                            end_count += 1
-                    j += 1
+                j, has_default = _scan_case(toks, i, n)
                 if not has_default:
                     facts.case_without_default += 1
-                # continue the main scan *inside* the case too for always
-                # blocks nested there; cases inside always bodies are handled
-                # when the always is analyzed, so skip ahead here.
+                # skip the whole case; cases inside always bodies are
+                # counted in the always branch below.
                 i = j
                 continue
             elif t.text in _ALWAYS_KWS:
@@ -455,36 +452,20 @@ def extract_facts(source: str) -> StructuralFacts:
                     facts.driven_signals[name] = facts.driven_signals.get(name, 0) + 1
                 if block.sensitivity is Sensitivity.EDGE_TRIGGERED and mentions_reset:
                     facts.has_reset_in_sequential = True
-                # count begin/end inside the block, then skip past it
-                for bt in toks[i:end]:
-                    if _is_kw(bt, "begin"):
-                        begin_count += 1
-                    elif _is_kw(bt, "end"):
-                        end_count += 1
                 # nested case-without-default inside the block
                 j = i + 1
                 while j < end:
                     if toks[j].kind is TokKind.KEYWORD and toks[j].text in _CASE_KWS:
-                        depth = 1
-                        k = j + 1
-                        has_default = False
-                        while k < end and depth > 0:
-                            if toks[k].kind is TokKind.KEYWORD:
-                                if toks[k].text in _CASE_KWS:
-                                    depth += 1
-                                elif toks[k].text == "endcase":
-                                    depth -= 1
-                                elif toks[k].text == "default" and depth == 1:
-                                    has_default = True
-                            k += 1
+                        j, has_default = _scan_case(toks, j, end)
                         if not has_default:
                             facts.case_without_default += 1
-                        j = k
                         continue
                     j += 1
                 i = end
                 continue
         i += 1
 
-    facts.begin_end_balanced = begin_count == end_count
+    facts.begin_end_balanced = (
+        sum(_is_kw(t, "begin") for t in toks) == sum(_is_kw(t, "end") for t in toks)
+    )
     return facts

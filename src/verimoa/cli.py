@@ -124,6 +124,10 @@ def _build_checkers(args, max_rounds: int) -> dict[IntermediateLanguage, Interme
 
 
 def _cmd_run(args) -> int:
+    # A second run would overwrite the traces but append to the transcript.
+    for name in ("manifest.json", "transcript.jsonl"):
+        if os.path.exists(os.path.join(args.out, name)):
+            raise _UsageError("--out %s already holds a run (%s)" % (args.out, name))
     config = load_config(args.config)
     benchmark = load_benchmark(args.benchmark)
     backend = _build_backend(args, args.out)
@@ -238,7 +242,9 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="execute the pipeline over a benchmark")
     p_run.add_argument("--config", required=True, help="run-config JSON path")
     p_run.add_argument("--benchmark", required=True, help="benchmark bundle directory")
-    p_run.add_argument("--out", required=True, help="run output directory")
+    p_run.add_argument("--out", required=True,
+                       help="run output directory; must not already hold a "
+                            "run (manifest.json or transcript.jsonl)")
     p_run.add_argument("--backend", default="http",
                        help="http, replay:<file>, or scripted:<file>")
     p_run.add_argument("--endpoint", default=None, help="HTTP backend endpoint URL")

@@ -96,6 +96,14 @@ def _build_argv(template: str, sources: list[str], out: str) -> list[str]:
     return argv
 
 
+def child_env() -> dict[str, str]:
+    """Environment for simulator and checker subprocesses: ours without
+    the API key, since both run model-written code."""
+    env = dict(os.environ)
+    env.pop(API_KEY_ENV, None)
+    return env
+
+
 class ExternalSimulator:
     def __init__(self, config: SimulatorConfig) -> None:
         config.validate()
@@ -115,8 +123,6 @@ class ExternalSimulator:
             raise WorkspaceError("cannot create simulation workspace: %s" % exc)
 
     def _run(self, argv: list[str], cwd: str, timeout_ms: int) -> tuple[int, str, bool, int]:
-        env = dict(os.environ)
-        env.pop(API_KEY_ENV, None)
         started = time.monotonic()
         try:
             with self._gate:
@@ -126,7 +132,7 @@ class ExternalSimulator:
                     stdout=subprocess.PIPE,
                     stderr=subprocess.STDOUT,
                     timeout=timeout_ms / 1000.0,
-                    env=env,
+                    env=child_env(),
                 )
             log = proc.stdout.decode("utf-8", errors="replace")
             code = proc.returncode
@@ -230,8 +236,12 @@ def _stub_script(name: str) -> str:
 
 
 def stub_script_cmd(name: str) -> str:
-    """Shell-quoted interpreter + bundled stub script prefix."""
-    return "%s -I %s" % (shlex.quote(sys.executable), shlex.quote(_stub_script(name)))
+    """Shell-quoted interpreter + bundled stub script prefix.
+
+    ``-S`` skips ``site``, which is most of a spawn's start-up cost; the
+    stubs import only the standard library.
+    """
+    return "%s -I -S %s" % (shlex.quote(sys.executable), shlex.quote(_stub_script(name)))
 
 
 def stub_simulator(**overrides) -> ExternalSimulator:

@@ -1,4 +1,8 @@
-"""Fake intermediate-code checker: rejects sources containing CHECKFAIL."""
+"""Fake intermediate-code checker: rejects sources containing CHECKFAIL.
+
+Launched as ``python -I -S``, so it must run without ``site``: import only
+``sys``.
+"""
 
 import sys
 

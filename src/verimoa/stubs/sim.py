@@ -7,17 +7,31 @@ run mode: inspects the "binary".
   FUNCFAIL        -> mismatch message, no pass marker, exit 0
   MARKER_BUT_FAIL -> pass marker printed but nonzero exit
   otherwise       -> pass marker, exit 0
+The first SLEEP_MS= followed by at least one digit wins; one without digits
+is skipped.
+
+Launched as ``python -I -S``, so it must run without ``site``: import only
+``sys`` and ``time``.  Interpreter start-up is most of each spawn's cost.
 """
 
-import re
 import sys
 import time
 
+_SLEEP = "SLEEP_MS="
+
 
 def _sleep_if_asked(text: str) -> None:
-    m = re.search(r"SLEEP_MS=(\d+)", text)
-    if m:
-        time.sleep(int(m.group(1)) / 1000.0)
+    # isdecimal(), not isdigit(): the latter also takes superscripts,
+    # which int() rejects.
+    at = text.find(_SLEEP)
+    while at >= 0:
+        start = end = at + len(_SLEEP)
+        while end < len(text) and text[end].isdecimal():
+            end += 1
+        if end > start:
+            time.sleep(int(text[start:end]) / 1000.0)
+            return
+        at = text.find(_SLEEP, at + 1)
 
 
 def do_compile(argv: list[str]) -> int:

@@ -25,6 +25,7 @@ TOY_BENCH = os.path.join(REPO_ROOT, "toy-bench")
 FIXTURES = os.path.join(REPO_ROOT, "fixtures")
 PROGRESSIVE_RULES = os.path.join(FIXTURES, "progressive.rules.jsonl")
 PROGRESSIVE_CONFIG = os.path.join(FIXTURES, "progressive.config.json")
+PROGRESSIVE_DIGESTS = os.path.join(FIXTURES, "progressive.sha256")
 
 SESSION_STARTED = time.monotonic()
 

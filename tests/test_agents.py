@@ -1,3 +1,6 @@
+import shlex
+import sys
+
 import pytest
 
 from conftest import CLEAN_MODULE, FakeSimulator, make_entry, make_problem
@@ -295,6 +298,24 @@ class TestIntermediateChecker:
         status, diagnostics = checker.run("def model(): CHECKFAIL")
         assert status == "fail"
         assert "CHECKFAIL" in diagnostics
+
+    def test_api_key_stripped_from_environment(self, monkeypatch):
+        # The Python checker runs model-written code.
+        monkeypatch.setenv("VERIMOA_API_KEY", "secret-value")
+        monkeypatch.setenv("VERIMOA_CANARY", "canary-value")
+        checker = IntermediateChecker(
+            language=IntermediateLanguage.PYTHON,
+            check_cmd="%s {source}" % shlex.quote(sys.executable),
+        )
+        status, diagnostics = checker.run(
+            "import os\n"
+            "print('key=' + os.environ.get('VERIMOA_API_KEY', 'ABSENT'))\n"
+            "print('canary=' + os.environ.get('VERIMOA_CANARY', 'ABSENT'))\n"
+        )
+        assert status == "pass"
+        assert "key=ABSENT" in diagnostics
+        assert "secret-value" not in diagnostics
+        assert "canary=canary-value" in diagnostics
 
     def test_missing_checker_binary_is_error_status(self):
         checker = IntermediateChecker(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import (
     CLEAN_MODULE,
     PROGRESSIVE_CONFIG,
+    PROGRESSIVE_DIGESTS,
     PROGRESSIVE_RULES,
     TOY_BENCH,
 )
@@ -231,6 +233,57 @@ class TestRun:
         tags = [json.loads(line)["request_tag"] for line in transcripts[0].splitlines()]
         assert len(tags) == 110
         assert tags == sorted(tags)
+
+    def test_out_holding_a_run_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = (
+            "run", "--config", PROGRESSIVE_CONFIG, "--benchmark", TOY_BENCH,
+            "--out", str(out), "--backend", "scripted:%s" % PROGRESSIVE_RULES,
+            "--sim", "stub", "--jobs", "4",
+        )
+        assert run_cli(*argv) == 0
+        first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("usage_error: --out")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+        assert len((out / "transcript.jsonl").read_bytes().splitlines()) == 110
+
+    def test_transcript_alone_marks_a_run(self, mini_run, capsys):
+        os.makedirs(mini_run["out"])
+        with open(os.path.join(mini_run["out"], "transcript.jsonl"), "w") as fh:
+            fh.write("")
+        rc = run_cli(
+            "run", "--config", mini_run["config"], "--benchmark", mini_run["bench"],
+            "--out", mini_run["out"], "--backend", "scripted:%s" % mini_run["rules"],
+            "--sim", "stub",
+        )
+        assert rc == 1
+        assert "transcript.jsonl" in capsys.readouterr().err
+        assert os.listdir(mini_run["out"]) == ["transcript.jsonl"]
+
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    def test_progressive_run_matches_golden_digests(self, tmp_path, jobs):
+        # Digests of the progressive run directory, pinned so that any
+        # change to traces, manifest or transcript shows; refresh with
+        # sha256sum from a run directory when a change means to move them.
+        out = tmp_path / "out"
+        rc = run_cli(
+            "run", "--config", PROGRESSIVE_CONFIG, "--benchmark", TOY_BENCH,
+            "--out", str(out), "--backend", "scripted:%s" % PROGRESSIVE_RULES,
+            "--sim", "stub", "--jobs", jobs,
+        )
+        assert rc == 0
+        with open(PROGRESSIVE_DIGESTS, encoding="utf-8") as fh:
+            golden = dict(reversed(line.split()) for line in fh if line.strip())
+        assert len(golden) == 12
+        actual = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in golden
+        }
+        assert actual == golden
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert files == set(golden)
 
 
 class TestScore:

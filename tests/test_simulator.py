@@ -1,6 +1,8 @@
 import os
 import shlex
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -124,6 +126,25 @@ class TestStubFlows:
         assert verdict.timed_out
         assert not verdict.passed
         assert "timeout after" in verdict.log
+
+    def test_sleep_takes_the_first_sleep_with_digits(self, tmp_path):
+        sim = stub_simulator(workspace_root=str(tmp_path))
+        problem = make_problem()
+        started = time.monotonic()
+        verdict = sim.syntax_test(
+            CLEAN_MODULE + "// SLEEP_MS=x SLEEP_MS= SLEEP_MS=200 SLEEP_MS=5000", problem
+        )
+        elapsed = time.monotonic() - started
+        assert verdict.passed
+        assert 0.2 <= elapsed < 3.0
+
+    def test_sleep_without_digits_is_ignored(self, tmp_path):
+        sim = stub_simulator(workspace_root=str(tmp_path))
+        problem = make_problem(timeout_ms=5000)
+        for text in ("// SLEEP_MS=", "// SLEEP_MS=x", "// SLEEP_MS"):
+            verdict = sim.function_test(CLEAN_MODULE + text, problem)
+            assert verdict.passed, verdict.log
+            assert "ALL_TESTS_PASSED" in verdict.log
 
     def test_marker_deep_in_a_long_log_still_passes(self, tmp_path):
         # The marker sits where head+tail truncation cuts; the verdict is
@@ -286,3 +307,31 @@ def test_stub_script_is_bundled():
     prefix = stub_script_cmd("sim.py")
     path = shlex.split(prefix)[-1]
     assert os.path.exists(path)
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("sim.py", ["compile", "-o", "design.out", "candidate.v"]),
+        ("check.py", ["candidate.py"]),
+    ],
+)
+def test_stubs_start_without_site_or_re(tmp_path, script, args):
+    # Interpreter start-up is most of a stub spawn; site alone costs
+    # several times a bare start.  Launch exactly as the simulator does.
+    (tmp_path / "candidate.v").write_text("// SLEEP_MS=1\n" + CLEAN_MODULE)
+    (tmp_path / "candidate.py").write_text("def model(): return 1\n")
+    interpreter, *rest = shlex.split(stub_script_cmd(script))
+    proc = subprocess.run(
+        [interpreter, "-X", "importtime", *rest, *args],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "encodings" in imported  # the start-up imports were parsed
+    assert "site" not in imported
+    assert "re" not in imported
