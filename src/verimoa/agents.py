@@ -43,7 +43,7 @@ from .errors import (
 )
 from .problems import DesignProblem, Sampling
 from .scoring import QualityScore, ScoreConstants, score_from_facts
-from .simulator import SimPhase, child_env, stub_script_cmd
+from .simulator import SimPhase, run_in_session, stub_script_cmd
 
 TEMPLATE_NAMES = {
     "base": ("direct", "sim_refine"),
@@ -218,20 +218,13 @@ class IntermediateChecker:
                 for token in shlex.split(self.check_cmd)
             ]
             try:
-                proc = subprocess.run(
-                    argv,
-                    cwd=workdir,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.STDOUT,
-                    timeout=self.timeout_ms / 1000.0,
-                    env=child_env(),
-                )
+                code, output = run_in_session(argv, workdir, self.timeout_ms / 1000.0)
             except subprocess.TimeoutExpired:
                 return "fail", self.timeout_diagnostics()
             except OSError as exc:
                 return "error", "checker unavailable: %s" % exc
-            log = proc.stdout.decode("utf-8", errors="replace")
-            return ("pass", log) if proc.returncode == 0 else ("fail", log)
+            log = output.decode("utf-8", errors="replace")
+            return ("pass", log) if code == 0 else ("fail", log)
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 
@@ -242,7 +235,7 @@ class IntermediateChecker:
 def stub_checker(language: IntermediateLanguage, max_rounds: int = 1) -> IntermediateChecker:
     return IntermediateChecker(
         language=language,
-        check_cmd="%s {source}" % stub_script_cmd("check.py"),
+        check_cmd="%s {source}" % stub_script_cmd("check.awk"),
         max_rounds=max_rounds,
     )
 

@@ -20,8 +20,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import (
     AuthError,
@@ -29,6 +28,9 @@ from .errors import (
     SchemaError,
     TranscriptMissError,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_MAX_TOKENS = 4096
 API_KEY_ENV = "VERIMOA_API_KEY"
@@ -79,7 +81,10 @@ class HttpBackend:
     """OpenAI-compatible chat-completion client with bounded retries.
 
     It sets no concurrency limit of its own: run_benchmark puts every
-    backend behind one gate of jobs x layer_width calls.
+    backend behind one gate of jobs x layer_width calls.  Its session keeps
+    up to pool_size connections per host alive; give it that gate's size,
+    or calls beyond the pool open a fresh connection each time.
+    ``requests`` is imported only here, so runs without HTTP never load it.
     """
 
     def __init__(
@@ -91,11 +96,21 @@ class HttpBackend:
         max_retries: int = 3,
         backoff_s: float = 0.5,
         request_timeout_s: float = 120.0,
+        pool_size: int = 10,
     ) -> None:
+        import requests
+        from requests.adapters import HTTPAdapter
+
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=pool_size)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self.session = session
+        self._transport_errors = requests.RequestException
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.request_timeout_s = request_timeout_s
@@ -127,7 +142,7 @@ class HttpBackend:
                     headers=headers,
                     timeout=self.request_timeout_s,
                 )
-            except requests.RequestException as exc:
+            except self._transport_errors as exc:
                 last_error = str(exc)
                 continue
             if resp.status_code in (401, 403):

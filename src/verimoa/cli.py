@@ -37,7 +37,7 @@ from .simulator import (
     simcheck,
     stub_simulator,
 )
-from .orchestrator import run_benchmark
+from .orchestrator import llm_seats, run_benchmark
 
 _ENVIRONMENT_ERRORS = (
     SimulatorUnavailableError,
@@ -90,12 +90,14 @@ def _build_sim(args) -> ExternalSimulator:
     return ExternalSimulator(config)
 
 
-def _build_backend(args, run_dir: str) -> TranscriptRecorder:
+def _build_backend(args, run_dir: str, seats: int) -> TranscriptRecorder:
+    """The run's backend, recording to run_dir; seats is the most requests
+    the run keeps in flight, and sizes the HTTP connection pool."""
     spec = args.backend
     if spec == "http":
         if not args.endpoint or not args.model:
             raise _UsageError("--backend http requires --endpoint and --model")
-        backend = HttpBackend(endpoint=args.endpoint, model=args.model)
+        backend = HttpBackend(endpoint=args.endpoint, model=args.model, pool_size=seats)
     elif spec.startswith("replay:"):
         backend = ReplayBackend.from_transcript(spec.split(":", 1)[1])
     elif spec.startswith("scripted:"):
@@ -130,7 +132,7 @@ def _cmd_run(args) -> int:
             raise _UsageError("--out %s already holds a run (%s)" % (args.out, name))
     config = load_config(args.config)
     benchmark = load_benchmark(args.benchmark)
-    backend = _build_backend(args, args.out)
+    backend = _build_backend(args, args.out, llm_seats(args.jobs, config))
     sim = _build_sim(args)
     # Probe before any output is written; a dead simulator would otherwise
     # degrade every trial into a silent non-pass.

@@ -462,6 +462,11 @@ def write_manifest(
         fh.write("\n")
 
 
+def llm_seats(jobs: int, config: RunConfig) -> int:
+    """The most LLM requests run_benchmark keeps in flight: jobs x layer_width."""
+    return max(1, jobs) * config.layer_width
+
+
 def run_benchmark(
     benchmark: Benchmark,
     config: RunConfig,
@@ -489,7 +494,7 @@ def run_benchmark(
     templates = templates or load_templates()
     if checkers is None:
         checkers = _stub_checkers(config)
-    width = max(1, jobs) * config.layer_width
+    width = llm_seats(jobs, config)
     backend = GatedBackend(backend, width)
     memo = VerdictMemo()
     sim = MemoSimulator(sim, memo)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import os
 import shlex
 import shutil
+import signal
 import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -96,12 +96,36 @@ def _build_argv(template: str, sources: list[str], out: str) -> list[str]:
     return argv
 
 
-def child_env() -> dict[str, str]:
-    """Environment for simulator and checker subprocesses: ours without
-    the API key, since both run model-written code."""
+def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, bytes]:
+    """Run one simulator or checker command; returns (exit code, output).
+
+    stdout and stderr share one pipe.  The command runs without the API
+    key in its environment, since it runs model-written code, and in a
+    session of its own: a timeout, or any other way out of the wait, kills
+    its whole process group, so a compiler driver's children or a sleep a
+    checker's shell started die with it.  A timeout raises
+    subprocess.TimeoutExpired holding the output read so far.
+    """
     env = dict(os.environ)
     env.pop(API_KEY_ENV, None)
-    return env
+    with subprocess.Popen(
+        argv,
+        cwd=cwd,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+        start_new_session=True,
+    ) as proc:
+        try:
+            output, _ = proc.communicate(timeout=timeout_s)
+        except BaseException:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            raise
+        return proc.returncode, output
 
 
 class ExternalSimulator:
@@ -126,16 +150,8 @@ class ExternalSimulator:
         started = time.monotonic()
         try:
             with self._gate:
-                proc = subprocess.run(
-                    argv,
-                    cwd=cwd,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.STDOUT,
-                    timeout=timeout_ms / 1000.0,
-                    env=child_env(),
-                )
-            log = proc.stdout.decode("utf-8", errors="replace")
-            code = proc.returncode
+                code, output = run_in_session(argv, cwd, timeout_ms / 1000.0)
+            log = output.decode("utf-8", errors="replace")
             timed_out = False
         except subprocess.TimeoutExpired as exc:
             log = (exc.output or b"").decode("utf-8", errors="replace")
@@ -236,17 +252,17 @@ def _stub_script(name: str) -> str:
 
 
 def stub_script_cmd(name: str) -> str:
-    """Shell-quoted interpreter + bundled stub script prefix.
+    """Shell-quoted ``awk -f`` prefix for a bundled stub script.
 
-    ``-S`` skips ``site``, which is most of a spawn's start-up cost; the
-    stubs import only the standard library.
+    The stubs are awk programs because start-up is most of a stub spawn's
+    cost, and awk starts in a small fraction of a Python interpreter's time.
     """
-    return "%s -I -S %s" % (shlex.quote(sys.executable), shlex.quote(_stub_script(name)))
+    return "awk -f %s" % shlex.quote(_stub_script(name))
 
 
 def stub_simulator(**overrides) -> ExternalSimulator:
     """Simulator wired to the bundled magic-substring stub."""
-    prefix = stub_script_cmd("sim.py")
+    prefix = stub_script_cmd("sim.awk")
     cfg = SimulatorConfig(
         compile_cmd="%s compile -o {out} {sources}" % prefix,
         run_cmd="%s run {out}" % prefix,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
 import time
 from dataclasses import dataclass, field
 
@@ -32,6 +33,24 @@ SESSION_STARTED = time.monotonic()
 
 def session_elapsed() -> float:
     return time.monotonic() - SESSION_STARTED
+
+
+def assert_gone_within_a_second(pid: int) -> None:
+    """Fail unless process pid has exited (or is a zombie) within 1 s; a
+    process still running then is killed, so a failure leaves none behind."""
+    deadline = time.monotonic() + 1.0
+    while True:
+        try:
+            with open("/proc/%d/stat" % pid, encoding="ascii") as fh:
+                state = fh.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return
+        if state == "Z":
+            return
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            pytest.fail("process %d still running 1 s after the timeout" % pid)
+        time.sleep(0.02)
 
 
 # -- fake simulator --------------------------------------------------------

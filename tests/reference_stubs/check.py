@@ -1,7 +1,6 @@
 """Fake intermediate-code checker: rejects sources containing CHECKFAIL.
 
-Launched as ``python -I -S``, so it must run without ``site``: import only
-``sys``.
+The reference for the bundled ``stubs/check.awk``; see ``sim.py`` here.
 """
 
 import sys

@@ -10,8 +10,11 @@ run mode: inspects the "binary".
 The first SLEEP_MS= followed by at least one digit wins; one without digits
 is skipped.
 
-Launched as ``python -I -S``, so it must run without ``site``: import only
-``sys`` and ``time``.  Interpreter start-up is most of each spawn's cost.
+This is the rule the bundled ``stubs/sim.awk`` implements, kept as the
+reference that ``tests/test_stub_parity.py`` checks it against: same exit
+code and the same merged stdout+stderr bytes.  Run it as
+``python -I -S sim.py ...`` with both streams on one pipe; stdout is then
+block-buffered, so MARKER_BUT_FAIL's stderr line comes first.
 """
 
 import sys

@@ -3,7 +3,13 @@ import sys
 
 import pytest
 
-from conftest import CLEAN_MODULE, FakeSimulator, make_entry, make_problem
+from conftest import (
+    CLEAN_MODULE,
+    FakeSimulator,
+    assert_gone_within_a_second,
+    make_entry,
+    make_problem,
+)
 from verimoa.agents import (
     CANDIDATE_MARKER_RE,
     SYSTEM_PROMPTS,
@@ -316,6 +322,19 @@ class TestIntermediateChecker:
         assert "key=ABSENT" in diagnostics
         assert "secret-value" not in diagnostics
         assert "canary=canary-value" in diagnostics
+
+    def test_timeout_kills_the_checkers_children(self, tmp_path):
+        # A shell-wrapped checker may run model-written code that never
+        # ends; killing only the shell would leave it running.
+        pid_file = tmp_path / "grandchild.pid"
+        script = "sleep 30 & echo $! > %s; wait" % shlex.quote(str(pid_file))
+        checker = IntermediateChecker(
+            language=IntermediateLanguage.CPP,
+            check_cmd="sh -c %s {source}" % shlex.quote(script),
+            timeout_ms=500,
+        )
+        assert checker.run("int x;") == ("fail", checker.timeout_diagnostics())
+        assert_gone_within_a_second(int(pid_file.read_text()))
 
     def test_missing_checker_binary_is_error_status(self):
         checker = IntermediateChecker(

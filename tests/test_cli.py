@@ -1,6 +1,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -13,7 +17,7 @@ from conftest import (
 )
 from verimoa import cli
 from verimoa.cli import main
-from verimoa.backends import load_scripted
+from verimoa.backends import GenerationRequest, load_scripted
 from verimoa.errors import AuthError, BackendExhaustedError
 
 VERILOG_REPLY = "```verilog\n%s\n```" % CLEAN_MODULE.strip("\n")
@@ -440,3 +444,93 @@ class TestSimcheckCommand:
         rc = run_cli("frobnicate")
         assert rc == 1
         assert "usage_error" in capsys.readouterr().err
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """Answers chat completions with "ok" once a whole wave of them is in
+    flight, over keep-alive connections, counting the connections it
+    accepts."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.wave.wait()
+        body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _ChatServer(ThreadingHTTPServer):
+    daemon_threads = True
+    request_queue_size = 64  # accept a whole wave at once
+
+    def __init__(self, wave_size: int):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.wave = threading.Barrier(wave_size, timeout=30)
+
+
+class TestHttpBackendPool:
+    def test_second_wave_reuses_every_connection(self, tmp_path, monkeypatch):
+        for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.lower(), raising=False)
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        seats = 24  # the default --jobs 4 x a layer_width of 6
+        server = _ChatServer(seats)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            args = cli.build_parser().parse_args([
+                "run", "--config", "c.json", "--benchmark", "b", "--out", str(tmp_path),
+                "--endpoint", "http://127.0.0.1:%d/v1" % server.server_port,
+                "--model", "m",
+            ])
+            backend = cli._build_backend(args, str(tmp_path), seats)
+
+            def wave():
+                barrier = threading.Barrier(seats)
+
+                def call(i):
+                    barrier.wait()
+                    backend.generate(GenerationRequest("s", "u", request_tag="t/%d" % i))
+
+                threads = [threading.Thread(target=call, args=(i,)) for i in range(seats)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                return server.connections
+
+            assert wave() == seats
+            assert wave() == seats
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+def test_offline_imports_leave_requests_unloaded():
+    # requests is most of the import time and memory of a run that never
+    # talks HTTP.
+    code = "import sys, verimoa.cli, verimoa.orchestrator; print('requests' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(TOY_BENCH), "src"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

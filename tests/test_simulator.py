@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import CLEAN_MODULE, make_problem
+from conftest import CLEAN_MODULE, assert_gone_within_a_second, make_problem
 from verimoa.errors import (
     InvariantViolationError,
     SimulatorUnavailableError,
@@ -164,6 +164,16 @@ class TestStubFlows:
         assert "ALL_TESTS_PASSED" not in verdict.log
         assert len(verdict.log) <= LOG_CAP_BYTES
 
+    @pytest.mark.parametrize("line", ["x" * 63 + "\n", "x" * 1_000_000], ids=["lines", "one-line"])
+    def test_one_megabyte_source_compiles_and_runs_in_under_a_second(self, tmp_path, line):
+        # Lines of 64 bytes, or a single line of 1 MB: both linear.
+        source = CLEAN_MODULE + "// SLEEP_MS=x FUNC\n" + line * (1_000_000 // len(line))
+        sim = stub_simulator(workspace_root=str(tmp_path))
+        started = time.monotonic()
+        verdict = sim.function_test(source, make_problem())
+        assert time.monotonic() - started < 1.0
+        assert verdict.passed, verdict.log
+
     def test_config_pass_marker_override(self, tmp_path):
         sim = stub_simulator(workspace_root=str(tmp_path), pass_marker="CUSTOM_OK")
         verdict = sim.function_test(CLEAN_MODULE, make_problem())
@@ -238,6 +248,21 @@ class TestProcessHandling:
         )
         assert ExternalSimulator(config).function_test(CLEAN_MODULE, make_problem()).passed
 
+    def test_timeout_kills_the_commands_children(self, tmp_path):
+        # Killing only the direct child would leave the sleep running.
+        pid_file = tmp_path / "grandchild.pid"
+        script = "sleep 30 & echo $! > %s; wait" % shlex.quote(str(pid_file))
+        config = SimulatorConfig(
+            compile_cmd="sh -c %s {sources} {out}" % shlex.quote(script),
+            run_cmd="true {out}",
+            workspace_root=str(tmp_path / "ws"),
+        )
+        problem = make_problem(timeout_ms=500)
+        verdict = ExternalSimulator(config).syntax_test(CLEAN_MODULE, problem)
+        assert verdict.timed_out
+        assert verdict.log.endswith("[timeout after 500 ms]")
+        assert_gone_within_a_second(int(pid_file.read_text()))
+
     def test_missing_binary(self, tmp_path):
         config = SimulatorConfig(
             compile_cmd="verimoa-no-such-binary {sources} -o {out}",
@@ -304,7 +329,7 @@ class TestSimcheck:
 
 
 def test_stub_script_is_bundled():
-    prefix = stub_script_cmd("sim.py")
+    prefix = stub_script_cmd("sim.awk")
     path = shlex.split(prefix)[-1]
     assert os.path.exists(path)
 
@@ -312,26 +337,16 @@ def test_stub_script_is_bundled():
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("sim.py", ["compile", "-o", "design.out", "candidate.v"]),
-        ("check.py", ["candidate.py"]),
+        ("sim.awk", ["compile", "-o", "design.out", "candidate.v"]),
+        ("check.awk", ["candidate.py"]),
     ],
 )
-def test_stubs_start_without_site_or_re(tmp_path, script, args):
-    # Interpreter start-up is most of a stub spawn; site alone costs
-    # several times a bare start.  Launch exactly as the simulator does.
+def test_stubs_run_on_awk(tmp_path, script, args):
+    # Start-up is most of a stub spawn, and awk starts in a fraction of a
+    # Python interpreter's time.  Launch exactly as the simulator does.
     (tmp_path / "candidate.v").write_text("// SLEEP_MS=1\n" + CLEAN_MODULE)
     (tmp_path / "candidate.py").write_text("def model(): return 1\n")
-    interpreter, *rest = shlex.split(stub_script_cmd(script))
-    proc = subprocess.run(
-        [interpreter, "-X", "importtime", *rest, *args],
-        cwd=tmp_path, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    assert "encodings" in imported  # the start-up imports were parsed
-    assert "site" not in imported
-    assert "re" not in imported
+    argv = shlex.split(stub_script_cmd(script))
+    assert argv[:2] == ["awk", "-f"]
+    proc = subprocess.run([*argv, *args], cwd=tmp_path, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
