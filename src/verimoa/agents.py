@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import os
 import re
-import shlex
-import shutil
 import subprocess
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping
 
@@ -43,7 +40,13 @@ from .errors import (
 )
 from .problems import DesignProblem, Sampling
 from .scoring import QualityScore, ScoreConstants, score_from_facts
-from .simulator import SimPhase, run_in_session, stub_script_cmd
+from .simulator import (
+    SimPhase,
+    WorkspacePool,
+    split_template,
+    run_in_session,
+    stub_script_cmd,
+)
 
 TEMPLATE_NAMES = {
     "base": ("direct", "sim_refine"),
@@ -196,6 +199,10 @@ class IntermediateChecker:
     check_cmd: str  # template with a {source} placeholder
     max_rounds: int = 1
     timeout_ms: int = CHECKER_TIMEOUT_MS
+    _pool: WorkspacePool = field(
+        default_factory=lambda: WorkspacePool("verimoa-check-"),
+        init=False, repr=False, compare=False,
+    )
 
     def __post_init__(self) -> None:
         if self.max_rounds > 0 and "{source}" not in self.check_cmd:
@@ -205,28 +212,30 @@ class IntermediateChecker:
         """Check one intermediate; returns (pass|fail|error, diagnostics).
 
         The source is written under a fixed name into a private directory
-        that is the checker's working directory, so diagnostics never
-        quote a temp path.
+        leased from the checker's own pool, which is the checker's working
+        directory, so diagnostics never quote a temp path.  A directory
+        that cannot be made, like a checker that cannot be launched, is an
+        error, not a crash.  The directory is reused only after a command
+        that ran to its end.
         """
-        workdir = tempfile.mkdtemp(prefix="verimoa-check-")
+        name = _CHECKER_SOURCE[self.language]
         try:
-            name = _CHECKER_SOURCE[self.language]
-            with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
-                fh.write(source)
-            argv = [
-                token.replace("{source}", name)
-                for token in shlex.split(self.check_cmd)
-            ]
-            try:
-                code, output = run_in_session(argv, workdir, self.timeout_ms / 1000.0)
-            except subprocess.TimeoutExpired:
-                return "fail", self.timeout_diagnostics()
-            except OSError as exc:
-                return "error", "checker unavailable: %s" % exc
-            log = output.decode("utf-8", errors="replace")
-            return ("pass", log) if code == 0 else ("fail", log)
+            workdir = self._pool.lease([(name, source)])
+        except WorkspaceError as exc:
+            return "error", "checker unavailable: %s" % exc
+        argv = [token.replace("{source}", name) for token in split_template(self.check_cmd)]
+        finished = False
+        try:
+            code, output = run_in_session(argv, workdir, self.timeout_ms / 1000.0)
+            finished = True
+        except subprocess.TimeoutExpired:
+            return "fail", self.timeout_diagnostics()
+        except OSError as exc:
+            return "error", "checker unavailable: %s" % exc
         finally:
-            shutil.rmtree(workdir, ignore_errors=True)
+            self._pool.release(workdir, finished)
+        log = output.decode("utf-8", errors="replace")
+        return ("pass", log) if code == 0 else ("fail", log)
 
     def timeout_diagnostics(self) -> str:
         return "[checker timeout after %d ms]" % self.timeout_ms
@@ -397,9 +406,10 @@ def gated_evaluation(
             feedback = syntax.log
         else:
             feedback = "" if func is None else func.log
-    score = score_from_facts(
-        extract_facts(source), constants, syntax_pass, functional_pass
-    )
+    # The perfect branch scores without structural facts.
+    perfect = syntax_pass and functional_pass
+    facts = None if perfect else extract_facts(source)
+    score = score_from_facts(facts, constants, syntax_pass, functional_pass)
     return score, feedback
 
 

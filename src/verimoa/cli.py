@@ -253,7 +253,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--model", default=None, help="HTTP backend model name")
     p_run.add_argument("--jobs", type=int, default=4,
                        help="at most jobs x layer_width LLM requests in flight "
-                            "across all trials, HTTP included; simulator spawns "
+                            "across all trials, HTTP included; simulator evaluations "
                             "stay at one per CPU, checkers have no limit "
                             "(default 4)")
     p_run.add_argument("--templates", default=None,

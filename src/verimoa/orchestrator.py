@@ -11,9 +11,11 @@ Each trial runs its layer_width slots on its own workers; the aggregator,
 its refinement and the final evaluation run on the trial's own thread.
 run_benchmark runs jobs x layer_width trials at once and gives each
 resource its own ceiling: at most jobs x layer_width LLM requests in
-flight (one gate in front of the backend), at most one simulator spawn
-per CPU (SimulatorConfig.max_concurrency), and no ceiling of their own
-for the checkers.  A slot that waits for the simulator holds no LLM seat.
+flight (one gate in front of the backend), at most one simulator
+evaluation per CPU (SimulatorConfig.max_concurrency; an evaluation holds
+its slot, and one pooled workspace, from compile through run), and no
+ceiling of their own for the checkers.  A slot that waits for the
+simulator holds no LLM seat.
 
 Trial failures degrade, never abort the benchmark: a failing agent loses
 its slot for that layer, an empty cache at aggregation fails the trial,
@@ -483,7 +485,7 @@ def run_benchmark(
     Up to jobs x layer_width trials run at once, each with its own slot
     workers.  The backend is put behind one gate of jobs x layer_width
     seats, the most LLM requests in flight across all trials; the
-    simulator keeps its own gate of one spawn per CPU, and the checkers
+    simulator keeps its own gate of one evaluation per CPU, and the checkers
     have no ceiling of their own.  The simulator and the checkers are put
     behind one VerdictMemo for this call, so each distinct candidate is
     evaluated once per run.  The first error a trial raises (an AuthError,

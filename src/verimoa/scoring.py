@@ -310,12 +310,15 @@ def _syntax_fail_score(facts: StructuralFacts, constants: ScoreConstants) -> Qua
 
 
 def score_from_facts(
-    facts: StructuralFacts,
+    facts: StructuralFacts | None,
     constants: ScoreConstants,
     syntax_pass: bool,
     functional_pass: bool,
 ) -> QualityScore:
-    """Pure scoring core: simulator verdicts in, QualityScore out."""
+    """Pure scoring core: simulator verdicts in, QualityScore out.
+
+    The perfect branch ignores the facts, so there they may be None.
+    """
     if syntax_pass and functional_pass:
         return QualityScore(
             value=constants.q_perfect,

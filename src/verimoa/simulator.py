@@ -7,14 +7,17 @@ exits 0 AND the pass marker appears in its output, because HDL testbenches
 routinely exit 0 after printing mismatches.  The marker is looked for in
 the whole output; only the stored log is truncated.
 
-Every invocation gets a private workspace directory, removed on success
-and retained on failure only when configured, so concurrent evaluations
-never collide.  Commands run inside it on fixed relative file names, so
-diagnostics never quote the workspace path.
+Every evaluation leases a private workspace directory from a
+WorkspacePool, so concurrent evaluations never collide.  A lease holds
+exactly that evaluation's files; the directory goes back to the pool
+afterwards, unless a command timed out or the evaluation raised, and is
+retained on failure only when configured.  Commands run inside it on
+fixed relative file names, so diagnostics never quote the workspace path.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import shlex
 import shutil
@@ -23,9 +26,11 @@ import subprocess
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
+from typing import Callable
 
 from .backends import API_KEY_ENV
 from .errors import InvariantViolationError, SimulatorUnavailableError, WorkspaceError
@@ -86,9 +91,15 @@ def truncate_log(log: str) -> str:
     return head + _TRUNCATION_NOTE + log[-LOG_TAIL_BYTES:]
 
 
+@functools.lru_cache(maxsize=64)
+def split_template(template: str) -> tuple[str, ...]:
+    """shlex.split, once per command template: a run uses a handful."""
+    return tuple(shlex.split(template))
+
+
 def _build_argv(template: str, sources: list[str], out: str) -> list[str]:
     argv: list[str] = []
-    for token in shlex.split(template):
+    for token in split_template(template):
         if token == "{sources}":
             argv.extend(sources)
         else:
@@ -104,10 +115,12 @@ def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, by
     session of its own: a timeout, or any other way out of the wait, kills
     its whole process group, so a compiler driver's children or a sleep a
     checker's shell started die with it.  A timeout raises
-    subprocess.TimeoutExpired holding the output read so far.
+    subprocess.TimeoutExpired holding the output read so far.  Without
+    the key set, the command inherits the environment as it is, uncopied.
     """
-    env = dict(os.environ)
-    env.pop(API_KEY_ENV, None)
+    env = None
+    if API_KEY_ENV in os.environ:
+        env = {k: v for k, v in os.environ.items() if k != API_KEY_ENV}
     with subprocess.Popen(
         argv,
         cwd=cwd,
@@ -128,29 +141,116 @@ def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, by
         return proc.returncode, output
 
 
+def _remove_all(workspaces: list[str]) -> None:
+    while workspaces:
+        shutil.rmtree(workspaces.pop(), ignore_errors=True)
+
+
+def _rewritable(entry: os.DirEntry) -> bool:
+    """A plain file with no other name, so writing it touches nothing else."""
+    if entry.is_symlink() or not entry.is_file():
+        return False
+    return entry.stat(follow_symlinks=False).st_nlink == 1
+
+
+def _fill(workspace: str, files: dict[str, bytes]) -> None:
+    """Make the workspace hold exactly these files, rewriting in place
+    where a same-named plain file is already there."""
+    with os.scandir(workspace) as entries:
+        for entry in entries:
+            if entry.name in files and _rewritable(entry):
+                continue
+            if entry.is_dir(follow_symlinks=False):
+                shutil.rmtree(entry.path)
+            else:
+                os.unlink(entry.path)
+    for name, data in files.items():
+        fd = os.open(
+            os.path.join(workspace, name),
+            os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_CLOEXEC,
+            0o666,
+        )
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            # ftruncate rather than O_TRUNC: rewriting in place is far
+            # cheaper than truncating to zero and growing the file again.
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+
+
+class WorkspacePool:
+    """Private directories for evaluations, reused from one to the next.
+
+    lease(files) returns a directory that holds exactly those files and
+    nothing else: a free directory when there is one, else a new one named
+    prefix* under root (the temp directory when root is None).  Entries
+    left by an earlier lease -- outputs, other problems' files, anything a
+    command wrote, subdirectories, links -- are removed; same-named plain
+    files are rewritten in place, never through a link.  release(workspace,
+    reuse) puts the directory back, or removes it when reuse is false; a
+    leased directory never released stays on disk and leaves the pool.
+    Free directories are removed when the pool is collected or the
+    interpreter exits.
+    """
+
+    def __init__(self, prefix: str, root: str | None = None) -> None:
+        self._prefix = prefix
+        self._root = root
+        self._lock = threading.Lock()
+        self._free: list[str] = []
+        weakref.finalize(self, _remove_all, self._free)
+
+    def lease(self, files: list[tuple[str, str]]) -> str:
+        """A directory holding exactly files, (name, text) pairs written
+        as UTF-8; one that cannot be made or filled raises WorkspaceError."""
+        wanted = {name: content.encode("utf-8") for name, content in files}
+        with self._lock:
+            workspace = self._free.pop() if self._free else None
+        if workspace is not None:
+            try:
+                _fill(workspace, wanted)
+                return workspace
+            except OSError:
+                # the last command left it unusable; start afresh
+                shutil.rmtree(workspace, ignore_errors=True)
+        try:
+            if self._root:
+                os.makedirs(self._root, exist_ok=True)
+            workspace = tempfile.mkdtemp(prefix=self._prefix, dir=self._root)
+        except OSError as exc:
+            raise WorkspaceError("cannot create workspace: %s" % exc)
+        try:
+            _fill(workspace, wanted)
+        except OSError as exc:
+            shutil.rmtree(workspace, ignore_errors=True)
+            raise WorkspaceError("cannot write workspace files: %s" % exc)
+        return workspace
+
+    def release(self, workspace: str, reuse: bool) -> None:
+        if reuse:
+            with self._lock:
+                self._free.append(workspace)
+        else:
+            shutil.rmtree(workspace, ignore_errors=True)
+
+
 class ExternalSimulator:
     def __init__(self, config: SimulatorConfig) -> None:
         config.validate()
         self.config = config
         limit = config.max_concurrency or os.cpu_count() or 4
         self._gate = threading.Semaphore(limit)
+        self._pool = WorkspacePool("verimoa-sim-", config.workspace_root)
 
     # -- internals ---------------------------------------------------
-
-    def _make_workspace(self) -> str:
-        root = self.config.workspace_root
-        try:
-            if root:
-                os.makedirs(root, exist_ok=True)
-            return tempfile.mkdtemp(prefix="verimoa-sim-", dir=root)
-        except OSError as exc:
-            raise WorkspaceError("cannot create simulation workspace: %s" % exc)
 
     def _run(self, argv: list[str], cwd: str, timeout_ms: int) -> tuple[int, str, bool, int]:
         started = time.monotonic()
         try:
-            with self._gate:
-                code, output = run_in_session(argv, cwd, timeout_ms / 1000.0)
+            code, output = run_in_session(argv, cwd, timeout_ms / 1000.0)
             log = output.decode("utf-8", errors="replace")
             timed_out = False
         except subprocess.TimeoutExpired as exc:
@@ -167,9 +267,17 @@ class ExternalSimulator:
         duration_ms = int((time.monotonic() - started) * 1000)
         return code, log, timed_out, duration_ms
 
-    def _write_sources(self, workspace: str, problem, include_testbench: bool,
-                       candidate_source: str) -> list[str]:
-        """Write the sources into the workspace; returns their relative names."""
+    def _evaluate(self, candidate_source: str, problem, include_testbench: bool,
+                  body: Callable[[str, list[str]], SimVerdict]) -> SimVerdict:
+        """Lease a workspace holding the sources, run body(workspace,
+        source names) in it, then release it.
+
+        The CPU gate is held for the whole evaluation, so the pool never
+        holds more than max_concurrency directories.  A workspace is
+        reused unless a command timed out or body raised (a killed process
+        group's stragglers must not write into the next lease); a failed
+        one is kept instead when keep_failed_workspaces is set.
+        """
         files = [("candidate.v", candidate_source)]
         files += [
             (os.path.basename(name), content)
@@ -177,14 +285,18 @@ class ExternalSimulator:
         ]
         if include_testbench:
             files.append(("testbench.v", problem.testbench_source))
-        for name, content in files:
-            with open(os.path.join(workspace, name), "w", encoding="utf-8") as fh:
-                fh.write(content)
-        return [name for name, _ in files]
-
-    def _cleanup(self, workspace: str, passed: bool) -> None:
-        if passed or not self.config.keep_failed_workspaces:
-            shutil.rmtree(workspace, ignore_errors=True)
+        with self._gate:
+            workspace = self._pool.lease(files)
+            verdict = None
+            try:
+                verdict = body(workspace, [name for name, _ in files])
+                return verdict
+            finally:
+                passed = verdict is not None and verdict.passed
+                if passed or not self.config.keep_failed_workspaces:
+                    self._pool.release(
+                        workspace, verdict is not None and not verdict.timed_out
+                    )
 
     def _timeout_ms(self, problem) -> int:
         return getattr(problem, "timeout_ms", None) or self.config.timeout_ms
@@ -195,10 +307,7 @@ class ExternalSimulator:
     # -- the two gates -----------------------------------------------
 
     def syntax_test(self, candidate_source: str, problem) -> SimVerdict:
-        workspace = self._make_workspace()
-        passed = False
-        try:
-            sources = self._write_sources(workspace, problem, False, candidate_source)
+        def compile_only(workspace: str, sources: list[str]) -> SimVerdict:
             argv = _build_argv(self.config.compile_cmd, sources, "./design.out")
             code, log, timed_out, duration = self._run(
                 argv, workspace, self._timeout_ms(problem)
@@ -207,16 +316,14 @@ class ExternalSimulator:
             return SimVerdict(
                 SimPhase.COMPILE, passed, truncate_log(log), duration, timed_out
             )
-        finally:
-            self._cleanup(workspace, passed)
+
+        return self._evaluate(candidate_source, problem, False, compile_only)
 
     def function_test(self, candidate_source: str, problem) -> SimVerdict:
         """Compile with the testbench, then run; a failed compile reports
         SimPhase.COMPILE."""
-        workspace = self._make_workspace()
-        passed = False
-        try:
-            sources = self._write_sources(workspace, problem, True, candidate_source)
+
+        def compile_and_run(workspace: str, sources: list[str]) -> SimVerdict:
             timeout_ms = self._timeout_ms(problem)
             # "./" so that a run_cmd of just {out} executes the file here
             # rather than searching PATH.
@@ -235,8 +342,8 @@ class ExternalSimulator:
                 SimPhase.RUN, passed, truncate_log(run_log),
                 duration + run_duration, timed_out,
             )
-        finally:
-            self._cleanup(workspace, passed)
+
+        return self._evaluate(candidate_source, problem, True, compile_and_run)
 
 
 def iverilog_config(**overrides) -> SimulatorConfig:

@@ -1,12 +1,15 @@
-"""Shared fixtures: repo paths, an in-process fake simulator, score and
-facts factories, and the session-scoped progressive benchmark runs."""
+"""Shared fixtures: repo paths, a workspace leak guard, an in-process
+fake simulator, score and facts factories, and the session-scoped
+progressive benchmark runs."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
 import signal
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -51,6 +54,37 @@ def assert_gone_within_a_second(pid: int) -> None:
             os.kill(pid, signal.SIGKILL)
             pytest.fail("process %d still running 1 s after the timeout" % pid)
         time.sleep(0.02)
+
+
+# -- workspace leak guard --------------------------------------------------
+
+WORKSPACE_PREFIXES = ("verimoa-sim-", "verimoa-check-")
+
+
+def workspaces_in(directory) -> list[str]:
+    return sorted(
+        name for name in os.listdir(directory) if name.startswith(WORKSPACE_PREFIXES)
+    )
+
+
+@pytest.fixture(autouse=True)
+def workspace_leak_guard(tmp_path_factory):
+    """Give each test its own temp directory and fail the test if a
+    simulator or checker workspace is left in it once everything the
+    test made has been collected."""
+    saved = tempfile.tempdir
+    tempdir = str(tmp_path_factory.mktemp("tempdir"))
+    tempfile.tempdir = tempdir
+    try:
+        yield tempdir
+    finally:
+        tempfile.tempdir = saved
+    leaked = workspaces_in(tempdir)
+    if leaked:
+        gc.collect()  # only when needed: a full collection costs tens of ms
+        leaked = workspaces_in(tempdir)
+    if leaked:
+        pytest.fail("workspaces left behind: %s" % ", ".join(leaked))
 
 
 # -- fake simulator --------------------------------------------------------

@@ -1,7 +1,10 @@
 import shlex
 import sys
+import tempfile
 
 import pytest
+
+import verimoa.agents
 
 from conftest import (
     CLEAN_MODULE,
@@ -9,6 +12,7 @@ from conftest import (
     assert_gone_within_a_second,
     make_entry,
     make_problem,
+    workspaces_in,
 )
 from verimoa.agents import (
     CANDIDATE_MARKER_RE,
@@ -252,6 +256,18 @@ class TestTwoStageAgent:
         assert [p.stage for p in prompts] == ["stage1", "stage2"]
         assert checks[0].status == "error"
 
+    def test_checker_without_a_workspace_downgrades_to_no_refinement(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        responses = ["```cpp\nint model();\n```", verilog_reply()]
+        _, _, rounds, prompts, checks = self.run(
+            stub_checker(IntermediateLanguage.CPP, max_rounds=2), responses
+        )
+        assert rounds == 0
+        assert [c.status for c in checks] == ["error"]
+        assert [p.stage for p in prompts] == ["stage1", "stage2"]
+
     def test_zero_round_checker_never_runs(self):
         checker = ListChecker([], max_rounds=0)
         responses = ["```cpp\nv0\n```", verilog_reply()]
@@ -336,6 +352,39 @@ class TestIntermediateChecker:
         assert checker.run("int x;") == ("fail", checker.timeout_diagnostics())
         assert_gone_within_a_second(int(pid_file.read_text()))
 
+    def test_an_uncreatable_workspace_is_error_status(self, tmp_path, monkeypatch):
+        # An OSError escaping here would stop the whole run.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        status, diagnostics = stub_checker(IntermediateLanguage.CPP).run("int x;")
+        assert status == "error"
+        assert diagnostics.startswith("checker unavailable: ")
+
+    def test_the_workspace_is_reused_and_holds_only_the_source(self, workspace_leak_guard):
+        checker = IntermediateChecker(
+            language=IntermediateLanguage.PYTHON,
+            check_cmd="sh -c %s sh {source}" % shlex.quote('pwd; ls -A; touch stray; mkdir -p d'),
+        )
+        first = checker.run("x = 1")[1].splitlines()
+        second = checker.run("x = 2")[1].splitlines()
+        assert first[1:] == second[1:] == ["candidate.py"]
+        assert second[0] == first[0]
+        assert len(workspaces_in(workspace_leak_guard)) == 1
+        del checker
+        assert workspaces_in(workspace_leak_guard) == []
+
+    def test_a_timed_out_workspace_is_not_reused(self, workspace_leak_guard):
+        checker = IntermediateChecker(
+            language=IntermediateLanguage.CPP,
+            check_cmd="sh -c %s sh {source}" % shlex.quote("grep -q SLOW \"$1\" && sleep 30; pwd"),
+            timeout_ms=300,
+        )
+        assert checker.run("SLOW") == ("fail", checker.timeout_diagnostics())
+        assert workspaces_in(workspace_leak_guard) == []
+        first = checker.run("quick")
+        assert first[0] == "pass"
+        assert checker.run("quick") == first  # a finished check's workspace is reused
+        assert len(workspaces_in(workspace_leak_guard)) == 1
+
     def test_missing_checker_binary_is_error_status(self):
         checker = IntermediateChecker(
             language=IntermediateLanguage.CPP,
@@ -353,6 +402,16 @@ class TestGatedEvaluation:
         )
         assert score.branch is ScoreBranch.PERFECT
         assert feedback == ""
+
+    def test_perfect_branch_needs_no_structural_facts(self, fake_sim, monkeypatch):
+        def no_facts(source):
+            raise AssertionError("extract_facts called on a perfect candidate")
+
+        monkeypatch.setattr(verimoa.agents, "extract_facts", no_facts)
+        constants = ScoreConstants()
+        score, _ = gated_evaluation(CLEAN_MODULE, make_problem(), fake_sim, constants)
+        assert score.branch is ScoreBranch.PERFECT
+        assert score.value == constants.q_perfect
 
     def test_functional_failure_feedback_is_run_log(self, fake_sim):
         score, feedback = gated_evaluation(

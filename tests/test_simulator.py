@@ -2,11 +2,18 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import CLEAN_MODULE, assert_gone_within_a_second, make_problem
+from conftest import (
+    CLEAN_MODULE,
+    assert_gone_within_a_second,
+    make_problem,
+    workspaces_in,
+)
 from verimoa.errors import (
     InvariantViolationError,
     SimulatorUnavailableError,
@@ -18,7 +25,9 @@ from verimoa.simulator import (
     ExternalSimulator,
     SimPhase,
     SimulatorConfig,
+    WorkspacePool,
     _build_argv,
+    run_in_session,
     simcheck,
     stub_script_cmd,
     stub_simulator,
@@ -191,13 +200,30 @@ class TestWorkspaces:
         return [d for d in os.listdir(root) if d.startswith("verimoa-sim-")]
 
     def test_success_cleans_up(self, tmp_path):
+        # One evaluation at a time needs one pooled directory; it holds
+        # only the last evaluation's files, and goes with the simulator.
         sim = stub_simulator(workspace_root=str(tmp_path))
+        sim.syntax_test(CLEAN_MODULE, make_problem())
         sim.function_test(CLEAN_MODULE, make_problem())
+        kept = self.leftovers(tmp_path)
+        assert len(kept) == 1
+        assert sorted(os.listdir(tmp_path / kept[0])) == [
+            "candidate.v", "sim.out", "testbench.v",
+        ]
+        del sim
         assert self.leftovers(tmp_path) == []
 
     def test_failure_cleans_up_by_default(self, tmp_path):
         sim = stub_simulator(workspace_root=str(tmp_path))
+        sim.syntax_test(CLEAN_MODULE + "// first", make_problem())
         sim.function_test(CLEAN_MODULE + "// FUNCFAIL", make_problem())
+        kept = self.leftovers(tmp_path)
+        assert len(kept) == 1
+        assert sorted(os.listdir(tmp_path / kept[0])) == [
+            "candidate.v", "sim.out", "testbench.v",
+        ]
+        assert "FUNCFAIL" in (tmp_path / kept[0] / "candidate.v").read_text()
+        del sim
         assert self.leftovers(tmp_path) == []
 
     def test_failure_keeps_workspace_when_asked(self, tmp_path):
@@ -217,6 +243,152 @@ class TestWorkspaces:
         sim = stub_simulator(workspace_root=str(blocker / "sub"))
         with pytest.raises(WorkspaceError):
             sim.syntax_test(CLEAN_MODULE, make_problem())
+
+
+def listing_simulator(root, script: str, **overrides) -> ExternalSimulator:
+    """A simulator whose compile command is a shell script run in the
+    workspace, with the sources and the output name as arguments."""
+    config = SimulatorConfig(
+        compile_cmd="sh -c %s sh {out} {sources}" % shlex.quote(script),
+        run_cmd="sh {out}",
+        workspace_root=str(root),
+        **overrides,
+    )
+    return ExternalSimulator(config)
+
+
+class TestWorkspacePool:
+    def test_a_lease_holds_only_its_own_files(self, tmp_path):
+        script = (
+            'pwd; ls -A; mkdir -p sub/deeper; touch sub/deeper/x stray.txt '
+            '"$1"; exit 1'
+        )
+        sim = listing_simulator(tmp_path, script)
+        first = sim.syntax_test("// a", make_problem("a", support_files={"lib_a.v": "// lib"}))
+        second = sim.syntax_test("// b", make_problem("b"))
+        first_dir, *first_files = first.log.splitlines()
+        second_dir, *second_files = second.log.splitlines()
+        assert first_files == ["candidate.v", "lib_a.v"]
+        assert second_dir == first_dir  # the directory was reused
+        assert second_files == ["candidate.v"]
+
+    def test_compile_without_output_fails_the_run_as_in_a_fresh_workspace(self, tmp_path):
+        # A compile that exits 0 without writing {out} must not run the
+        # previous candidate's binary.
+        script = 'grep -q NOOUT candidate.v || echo "echo ALL_TESTS_PASSED" > "$1"'
+        problem = make_problem()
+        sim = listing_simulator(tmp_path / "reused", script)
+        assert sim.function_test(CLEAN_MODULE, problem).passed
+        reused = sim.function_test(CLEAN_MODULE + "// NOOUT", problem)
+        fresh = listing_simulator(tmp_path / "fresh", script).function_test(
+            CLEAN_MODULE + "// NOOUT", problem
+        )
+        assert reused.phase is fresh.phase is SimPhase.RUN
+        assert not reused.passed
+        assert not fresh.passed
+        assert (reused.log, reused.timed_out) == (fresh.log, fresh.timed_out)
+
+    @pytest.mark.parametrize("link", ["ln -s", "ln"])
+    def test_a_planted_link_is_removed_not_written_through(self, tmp_path, link):
+        target = tmp_path / "outside.v"
+        target.write_text("precious")
+        script = (
+            'if grep -q PLANT candidate.v; then rm candidate.v; %s %s candidate.v; '
+            'else pwd; cat candidate.v; fi; exit 1' % (link, shlex.quote(str(target)))
+        )
+        sim = listing_simulator(tmp_path / "ws", script)
+        sim.syntax_test("// PLANT", make_problem())
+        verdict = sim.syntax_test("// second", make_problem())
+        workspace, content = verdict.log.splitlines()
+        assert content == "// second"
+        candidate = os.path.join(workspace, "candidate.v")
+        assert not os.path.islink(candidate)
+        assert os.stat(candidate).st_nlink == 1
+        assert target.read_text() == "precious"
+
+    def test_a_deleted_workspace_is_replaced(self, tmp_path):
+        sim = listing_simulator(tmp_path, 'pwd; grep -q GONE candidate.v && rm -rf "$PWD"; exit 1')
+        first = sim.syntax_test("// GONE", make_problem())
+        second = sim.syntax_test("// next", make_problem())
+        assert not second.timed_out
+        assert second.log.splitlines()[0] != first.log.splitlines()[0]
+
+    def test_a_timed_out_workspace_is_not_reused(self, tmp_path):
+        sim = listing_simulator(
+            tmp_path, 'pwd; grep -q SLOW candidate.v && sleep 30; exit 1',
+        )
+        timed_out = sim.syntax_test("// SLOW", make_problem(timeout_ms=300))
+        assert timed_out.timed_out
+        assert os.listdir(tmp_path) == []
+        first = sim.syntax_test("// quick", make_problem()).log.splitlines()[0]
+        second = sim.syntax_test("// quick", make_problem()).log.splitlines()[0]
+        assert first != timed_out.log.splitlines()[0]
+        assert second == first  # a plain failure's workspace is reused
+
+    def test_a_kept_failed_workspace_leaves_the_pool(self, tmp_path):
+        sim = stub_simulator(workspace_root=str(tmp_path), keep_failed_workspaces=True)
+        assert not sim.function_test(CLEAN_MODULE + "// FUNCFAIL", make_problem()).passed
+        (kept,) = os.listdir(tmp_path)
+        assert sim.function_test(CLEAN_MODULE, make_problem()).passed
+        assert len(os.listdir(tmp_path)) == 2
+        assert "FUNCFAIL" in (tmp_path / kept / "candidate.v").read_text()
+        del sim
+        assert os.listdir(tmp_path) == [kept]
+
+    def test_concurrent_leases_never_share_a_directory(self, tmp_path):
+        pool = WorkspacePool("verimoa-sim-", str(tmp_path))
+        in_use: set[str] = set()
+        lock = threading.Lock()
+        faults: list[str] = []
+
+        def worker(n: int) -> None:
+            for i in range(50):
+                mine = "%d-%d" % (n, i)
+                workspace = pool.lease([("id.txt", mine), ("w%d.txt" % n, mine)])
+                with lock:
+                    if workspace in in_use:
+                        faults.append("shared %s" % workspace)
+                    in_use.add(workspace)
+                if sorted(os.listdir(workspace)) != sorted(["id.txt", "w%d.txt" % n]):
+                    faults.append("unclean %s" % workspace)
+                with open(os.path.join(workspace, "id.txt"), encoding="utf-8") as fh:
+                    if fh.read() != mine:
+                        faults.append("overwritten %s" % workspace)
+                with lock:
+                    in_use.discard(workspace)
+                pool.release(workspace, reuse=True)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert faults == []
+        assert 1 <= len(os.listdir(tmp_path)) <= 16
+        del pool
+        assert os.listdir(tmp_path) == []
+
+    def test_at_most_max_concurrency_directories(self, tmp_path):
+        sim = stub_simulator(workspace_root=str(tmp_path), max_concurrency=2)
+        problem = make_problem()
+        sources = [CLEAN_MODULE + "// SLEEP_MS=20 v%d" % i for i in range(8)]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            verdicts = list(pool.map(lambda s: sim.function_test(s, problem), sources))
+        assert all(v.passed for v in verdicts)
+        assert 1 <= len(os.listdir(tmp_path)) <= 2
+
+    def test_collecting_the_simulator_removes_its_workspaces(self, workspace_leak_guard):
+        sim = stub_simulator()
+        sim.function_test(CLEAN_MODULE, make_problem())
+        assert len(workspaces_in(workspace_leak_guard)) == 1
+        del sim
+        assert workspaces_in(workspace_leak_guard) == []
 
 
 class TestProcessHandling:
@@ -293,6 +465,18 @@ class TestProcessHandling:
         assert "key=ABSENT" in verdict.log
         assert "secret-value" not in verdict.log
         assert "canary=canary-value" in verdict.log
+
+
+@pytest.mark.parametrize("key", [None, "secret-value"])
+def test_the_environment_reaches_the_command_without_the_key(tmp_path, monkeypatch, key):
+    if key is None:
+        monkeypatch.delenv("VERIMOA_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("VERIMOA_API_KEY", key)
+    monkeypatch.setenv("VERIMOA_CANARY", "canary-value")
+    script = 'echo "canary=${VERIMOA_CANARY-ABSENT} key=${VERIMOA_API_KEY-ABSENT}"'
+    code, output = run_in_session(["sh", "-c", script], str(tmp_path), 10.0)
+    assert (code, output) == (0, b"canary=canary-value key=ABSENT\n")
 
 
 class TestSimcheck:
