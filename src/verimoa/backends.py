@@ -19,6 +19,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -303,9 +304,9 @@ def load_scripted(path: str):
                 raise SchemaError("%s:%d: invalid JSON: %s" % (path, line_no, exc))
             if isinstance(record, str):
                 record = {"text": record}
-            if not isinstance(record, dict) or "text" not in record:
+            if not isinstance(record, dict) or not isinstance(record.get("text"), str):
                 raise SchemaError(
-                    '%s:%d: expected a record with a "text" field' % (path, line_no)
+                    '%s:%d: expected a record with a string "text" field' % (path, line_no)
                 )
             records.append((line_no, record))
     if any("when" in record for _, record in records):
@@ -319,6 +320,8 @@ def load_scripted(path: str):
                 raise SchemaError(
                     "%s:%d: unknown predicate %s" % (path, line_no, sorted(unknown)[0])
                 )
+            if not all(isinstance(value, str) for value in when.values()):
+                raise SchemaError("%s:%d: predicates must be strings" % (path, line_no))
             rules.append(ResponseRule(text=record["text"], **when))
         return RuleBackend(rules)
     return ScriptedBackend([record["text"] for _, record in records])
@@ -340,9 +343,9 @@ class GatedBackend:
 class TranscriptRecorder:
     """Wraps a backend, appending every exchange to a JSONL transcript.
 
-    Lines are appended as answers arrive, so a partial run keeps what it
-    got; close() rewrites the file sorted by (request_tag, line), one
-    canonical order however the requests interleaved.
+    Each answer's line is flushed as it arrives (the file stays open until
+    close() or collection), so a partial run keeps what it got; close()
+    rewrites the file sorted by (request_tag, line), one canonical order.
     """
 
     def __init__(self, inner, path: str) -> None:
@@ -350,6 +353,7 @@ class TranscriptRecorder:
         self.backend_id = getattr(inner, "backend_id", "unknown")
         self._path = path
         self._lock = threading.Lock()
+        self._fh = None  # opened on the first answer, so no traffic leaves no file
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         response = self.inner.generate(request)
@@ -367,12 +371,17 @@ class TranscriptRecorder:
         }
         line = json.dumps(record, sort_keys=True, ensure_ascii=True)
         with self._lock:
-            with open(self._path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            if self._fh is None:
+                self._fh = open(self._path, "a", buffering=1, encoding="utf-8")
+                weakref.finalize(self, self._fh.close)
+            self._fh.write(line + "\n")
         return response
 
     def close(self) -> None:
         with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
             if not os.path.exists(self._path):
                 return
             with open(self._path, encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ import math
 import os
 import tempfile
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,16 +118,31 @@ class PassAtKTable:
         }
 
 
-@dataclass(frozen=True)
-class DiversityReport:
-    per_layer_vendi: list[float]
-    similarity_kind: str = SIMILARITY_KIND
+_NUMBER = (int, float)
+_STATS = ("min_top_n", "mean_top_n", "vendi_top_n")
+# What scan_run and build_report read of each event kind, with its types.
+_EVENT_FIELDS = {
+    "layer_stats": {"layer": int, "window_values": list},
+    "agent_error": {"error_code": str},
+    "trial_result": {"syntax_pass": bool, "functional_pass": bool},
+}
 
-    def to_json(self) -> dict:
-        return {
-            "per_layer_vendi": self.per_layer_vendi,
-            "similarity_kind": self.similarity_kind,
-        }
+
+def _check_event(event: dict, where: str) -> None:
+    kind = event["event"]
+    fields = _EVENT_FIELDS.get(kind, {})
+    checks = [(event.get(name), name, types) for name, types in fields.items()]
+    window = event.get("window_values")
+    if kind == "layer_stats" and isinstance(window, list) and window:
+        checks += [(event.get(name), name, _NUMBER) for name in _STATS]
+        checks += [(value, "window value", _NUMBER) for value in window]
+    if kind == "cache_insert" and event.get("kind") == "hdl":
+        score = event.get("score")
+        branch = score.get("branch") if isinstance(score, dict) else None
+        checks.append((branch, "score branch", str))
+    for value, name, types in checks:
+        if not isinstance(value, types):
+            raise CorruptTraceError("%s: %s event without a valid %s" % (where, kind, name))
 
 
 def _read_trace(path: str) -> list[dict]:
@@ -145,6 +160,7 @@ def _read_trace(path: str) -> list[dict]:
                 raise CorruptTraceError(
                     "%s:%d: not a trace event object" % (path, line_no)
                 )
+            _check_event(event, "%s:%d" % (path, line_no))
             events.append(event)
     return events
 
@@ -158,18 +174,18 @@ class RunScan:
     benchmark: str | None
     problems: list[str]
     n_trials: int
-    per_problem_c: dict[str, int]
-    per_problem_branches: dict[str, Counter]
-    layer_min: dict[int, list[float]]
-    layer_mean: dict[int, list[float]]
-    layer_vendi: dict[int, list[float]]
-    layer_rank_values: dict[int, dict[int, list[float]]]
-    incomplete: int
-    agent_errors: Counter  # error_code -> failed agent slots, whole run
+    per_problem_c: dict[str, int] = field(default_factory=dict)
+    per_problem_branches: dict[str, Counter] = field(default_factory=dict)
+    # layer -> its layer_stats events with a non-empty window
+    layer_stats: dict[int, list[dict]] = field(default_factory=dict)
+    incomplete: int = 0
+    # error_code -> failed agent slots, whole run
+    agent_errors: Counter = field(default_factory=Counter)
 
 
 def scan_run(run_dir: str) -> RunScan:
-    """Read a run directory's manifest and every trace into aggregates."""
+    """Read a run directory's manifest and every trace into aggregates;
+    a malformed manifest or event raises CorruptTraceError."""
     manifest_path = os.path.join(run_dir, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise MissingFileError("missing %s" % manifest_path)
@@ -179,24 +195,20 @@ def scan_run(run_dir: str) -> RunScan:
         except ValueError as exc:
             raise CorruptTraceError("%s: %s" % (manifest_path, exc))
 
-    problems = manifest.get("problems", [])
-    n_trials = manifest.get("config", {}).get("trials", 0)
-    if not problems or n_trials < 1:
-        raise CorruptTraceError("%s: missing problems or trials" % manifest_path)
+    manifest = manifest if isinstance(manifest, dict) else {}
+    problems, config = manifest.get("problems"), manifest.get("config")
+    if not problems or not isinstance(problems, list) or not all(
+        isinstance(p, str) for p in problems
+    ):
+        raise CorruptTraceError("%s: problems is not a non-empty list of strings"
+                                % manifest_path)
+    if not isinstance(config, dict):
+        raise CorruptTraceError("%s: config is not an object" % manifest_path)
+    n_trials = config.get("trials")
+    if type(n_trials) is not int or n_trials < 1:
+        raise CorruptTraceError("%s: trials is not a positive integer" % manifest_path)
 
-    scan = RunScan(
-        benchmark=manifest.get("benchmark"),
-        problems=list(problems),
-        n_trials=n_trials,
-        per_problem_c={},
-        per_problem_branches={},
-        layer_min={},
-        layer_mean={},
-        layer_vendi={},
-        layer_rank_values={},
-        incomplete=0,
-        agent_errors=Counter(),
-    )
+    scan = RunScan(manifest.get("benchmark"), list(problems), n_trials)
 
     for problem_id in problems:
         correct = 0
@@ -211,17 +223,8 @@ def scan_run(run_dir: str) -> RunScan:
                 kind = event["event"]
                 if kind == "cache_insert" and event.get("kind") == "hdl":
                     branches[event["score"]["branch"]] += 1
-                elif kind == "layer_stats":
-                    layer = event["layer"]
-                    if event.get("min_top_n") is not None:
-                        scan.layer_min.setdefault(layer, []).append(event["min_top_n"])
-                        scan.layer_mean.setdefault(layer, []).append(event["mean_top_n"])
-                        scan.layer_vendi.setdefault(layer, []).append(event["vendi_top_n"])
-                        ranks = scan.layer_rank_values.setdefault(layer, {})
-                        for rank, value in enumerate(
-                            event.get("window_values", []), start=1
-                        ):
-                            ranks.setdefault(rank, []).append(value)
+                elif kind == "layer_stats" and event["window_values"]:
+                    scan.layer_stats.setdefault(event["layer"], []).append(event)
                 elif kind == "agent_error":
                     scan.agent_errors[event["error_code"]] += 1
                 elif kind == "trial_result":
@@ -263,28 +266,18 @@ def build_report(run_dir: str, ks: list[int], write_csv: bool = False) -> dict:
     scan = scan_run(run_dir)
     table, warnings = pass_table(scan, ks)
 
-    layers = sorted(set(scan.layer_min) | set(scan.layer_mean) | set(scan.layer_vendi))
     per_layer = []
-    for layer in layers:
-        ranks = scan.layer_rank_values.get(layer, {})
-        per_layer.append(
-            {
-                "layer": layer,
-                "min_top_n": _mean(scan.layer_min.get(layer, [])),
-                "mean_top_n": _mean(scan.layer_mean.get(layer, [])),
-                "vendi_top_n": _mean(scan.layer_vendi.get(layer, [])),
-                "per_rank_mean": {
-                    str(rank): _mean(values)
-                    for rank, values in sorted(ranks.items())
-                },
-            }
-        )
-
-    diversity = DiversityReport(
-        per_layer_vendi=[
-            entry["vendi_top_n"] for entry in per_layer if entry["vendi_top_n"] is not None
-        ]
-    )
+    for layer, events in sorted(scan.layer_stats.items()):
+        ranks: dict[int, list[float]] = {}
+        for event in events:
+            for rank, value in enumerate(event["window_values"], start=1):
+                ranks.setdefault(rank, []).append(value)
+        row = {name: _mean([event[name] for event in events]) for name in _STATS}
+        row["layer"] = layer
+        row["per_rank_mean"] = {
+            str(rank): _mean(values) for rank, values in sorted(ranks.items())
+        }
+        per_layer.append(row)
 
     report = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -294,7 +287,10 @@ def build_report(run_dir: str, ks: list[int], write_csv: bool = False) -> dict:
         "incomplete_trials": scan.incomplete,
         "pass_at_k": table.to_json(),
         "per_layer": per_layer,
-        "diversity": diversity.to_json(),
+        "diversity": {
+            "per_layer_vendi": [row["vendi_top_n"] for row in per_layer],
+            "similarity_kind": SIMILARITY_KIND,
+        },
         "failure_taxonomy": {
             problem_id: {
                 "perfect": branches.get("perfect", 0),
@@ -332,19 +328,12 @@ def _write_curves_csv(path: str, per_layer: list[dict]) -> None:
     max_rank = max(
         (len(entry["per_rank_mean"]) for entry in per_layer), default=0
     )
-    fields = ["layer", "min_top_n", "mean_top_n", "vendi_top_n"] + [
-        "rank%d_mean" % r for r in range(1, max_rank + 1)
-    ]
+    fields = ["layer", *_STATS] + ["rank%d_mean" % r for r in range(1, max_rank + 1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for entry in per_layer:
-            row = {
-                "layer": entry["layer"],
-                "min_top_n": entry["min_top_n"],
-                "mean_top_n": entry["mean_top_n"],
-                "vendi_top_n": entry["vendi_top_n"],
-            }
+            row = {name: entry[name] for name in ("layer", *_STATS)}
             for rank_str, value in entry["per_rank_mean"].items():
                 row["rank%s_mean" % rank_str] = value
             writer.writerow(row)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -59,19 +58,11 @@ from .cache import (
     IntermediateLanguage,
     PATH_LANGUAGE,
 )
-from .errors import AuthError, EmptyWindowError, PipelineFailureError, VerimoaError
+from .errors import AuthError, PipelineFailureError, VerimoaError
 from .harness import vendi_score
 from .memo import MemoChecker, MemoSimulator, VerdictMemo
 from .problems import Benchmark, DesignProblem, RunConfig
 from .scoring import QualityScore
-
-
-@dataclass(frozen=True)
-class LayerStats:
-    layer: int
-    min_top_n: float | None
-    mean_top_n: float | None
-    vendi_top_n: float | None
 
 
 @dataclass(frozen=True)
@@ -80,9 +71,7 @@ class TrialResult:
     trial_index: int
     final_source: str
     final_verdicts: tuple[bool, bool]  # (syntax, functional)
-    per_layer_stats: tuple[LayerStats, ...]
     candidate_count: int
-    wall_ms: int
 
 
 class TraceWriter:
@@ -217,7 +206,6 @@ def run_trial(
     so the trace order does not depend on which worker ran what.
     """
     config.validate()
-    started = time.monotonic()
     templates = templates or load_templates()
     if checkers is None:
         checkers = _stub_checkers(config)
@@ -229,7 +217,7 @@ def run_trial(
     cache = GlobalCache()
     pool = ThreadPoolExecutor(max_workers=config.layer_width)
     writer = TraceWriter(trace_path)
-    per_layer: list[LayerStats] = []
+    per_layer: list[dict] = []
     try:
         writer.write(
             {
@@ -262,9 +250,8 @@ def run_trial(
                 )
                 for spec in specs
             ]
+            # barrier: every slot done, then insertion in slot order
             outcomes = [f.result() for f in futures]
-            # barrier: canonical slot order, then batch insertion
-            outcomes.sort(key=lambda o: o.slot)
             for outcome in outcomes:
                 for record in outcome.prompts:
                     writer.write(_llm_call_event(layer, outcome.slot, record))
@@ -378,9 +365,7 @@ def run_trial(
             trial_index=trial_index,
             final_source=final_source,
             final_verdicts=(final_score.syntax_pass, final_score.functional_pass),
-            per_layer_stats=tuple(per_layer),
             candidate_count=len(cache),
-            wall_ms=int((time.monotonic() - started) * 1000),
         )
         writer.write(
             {
@@ -391,15 +376,7 @@ def run_trial(
                 "syntax_pass": result.final_verdicts[0],
                 "functional_pass": result.final_verdicts[1],
                 "candidate_count": result.candidate_count,
-                "per_layer_stats": [
-                    {
-                        "layer": s.layer,
-                        "min_top_n": s.min_top_n,
-                        "mean_top_n": s.mean_top_n,
-                        "vendi_top_n": s.vendi_top_n,
-                    }
-                    for s in per_layer
-                ],
+                "per_layer_stats": per_layer,
             }
         )
         return result
@@ -408,35 +385,19 @@ def run_trial(
         pool.shutdown()
 
 
-def _layer_stats(
-    cache: GlobalCache, layer: int, n: int, writer: TraceWriter
-) -> LayerStats:
-    try:
-        minimum, mean = cache.layer_quality_stats(layer, n)
-    except EmptyWindowError:
-        stats = LayerStats(layer, None, None, None)
-        writer.write(
-            {
-                "event": "layer_stats",
-                "layer": layer,
-                "min_top_n": None,
-                "mean_top_n": None,
-                "vendi_top_n": None,
-                "window": [],
-                "window_values": [],
-            }
-        )
-        return stats
+def _layer_stats(cache: GlobalCache, layer: int, n: int, writer: TraceWriter) -> dict:
+    """Write the layer_stats event of the TopN window the next layer sees;
+    returns its {layer, min_top_n, mean_top_n, vendi_top_n}, all None when
+    the window is empty."""
     window = cache.top_n_hdl(layer + 1, n)
-    vendi = vendi_score([e.source for e in window])
-    stats = LayerStats(layer, minimum, mean, vendi)
+    stats = {"layer": layer, "min_top_n": None, "mean_top_n": None, "vendi_top_n": None}
+    if window:
+        stats["min_top_n"], stats["mean_top_n"] = cache.layer_quality_stats(layer, n)
+        stats["vendi_top_n"] = vendi_score([e.source for e in window])
     writer.write(
         {
             "event": "layer_stats",
-            "layer": layer,
-            "min_top_n": minimum,
-            "mean_top_n": mean,
-            "vendi_top_n": vendi,
+            **stats,
             "window": [e.id.to_json() for e in window],
             "window_values": [e.score.value for e in window],
         }
@@ -525,9 +486,7 @@ def run_benchmark(
                 trial_index=trial,
                 final_source="",
                 final_verdicts=(False, False),
-                per_layer_stats=(),
                 candidate_count=0,
-                wall_ms=0,
             )
 
     with ThreadPoolExecutor(max_workers=width) as trials:

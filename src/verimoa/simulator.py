@@ -30,7 +30,6 @@ import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
-from typing import Callable
 
 from .backends import API_KEY_ENV
 from .errors import InvariantViolationError, SimulatorUnavailableError, WorkspaceError
@@ -267,29 +266,41 @@ class ExternalSimulator:
         duration_ms = int((time.monotonic() - started) * 1000)
         return code, log, timed_out, duration_ms
 
-    def _evaluate(self, candidate_source: str, problem, include_testbench: bool,
-                  body: Callable[[str, list[str]], SimVerdict]) -> SimVerdict:
-        """Lease a workspace holding the sources, run body(workspace,
-        source names) in it, then release it.
+    def _evaluate(self, candidate_source: str, problem, run: bool) -> SimVerdict:
+        """Compile the candidate to ./design.out, or, when run is set, with
+        the testbench to ./sim.out and run that if the compile passed.
 
         The CPU gate is held for the whole evaluation, so the pool never
         holds more than max_concurrency directories.  A workspace is
-        reused unless a command timed out or body raised (a killed process
-        group's stragglers must not write into the next lease); a failed
-        one is kept instead when keep_failed_workspaces is set.
+        reused unless a command timed out or the evaluation raised (a killed
+        process group's stragglers must not write into the next lease); a
+        failed one is kept instead when keep_failed_workspaces is set.
         """
         files = [("candidate.v", candidate_source)]
         files += [
             (os.path.basename(name), content)
             for name, content in sorted(getattr(problem, "support_files", {}).items())
         ]
-        if include_testbench:
+        if run:
             files.append(("testbench.v", problem.testbench_source))
+        timeout_ms = getattr(problem, "timeout_ms", None) or self.config.timeout_ms
+        # "./" so that a run_cmd of just {out} executes the file here
+        # rather than searching PATH.
+        out = "./sim.out" if run else "./design.out"
         with self._gate:
             workspace = self._pool.lease(files)
             verdict = None
             try:
-                verdict = body(workspace, [name for name, _ in files])
+                argv = _build_argv(self.config.compile_cmd, [name for name, _ in files], out)
+                code, log, timed_out, duration = self._run(argv, workspace, timeout_ms)
+                phase, passed = SimPhase.COMPILE, code == 0 and not timed_out
+                if run and passed:
+                    argv = _build_argv(self.config.run_cmd, [], out)
+                    code, log, timed_out, run_ms = self._run(argv, workspace, timeout_ms)
+                    marker = getattr(problem, "pass_marker", None) or self.config.pass_marker
+                    phase, passed = SimPhase.RUN, code == 0 and not timed_out and marker in log
+                    duration += run_ms
+                verdict = SimVerdict(phase, passed, truncate_log(log), duration, timed_out)
                 return verdict
             finally:
                 passed = verdict is not None and verdict.passed
@@ -298,52 +309,15 @@ class ExternalSimulator:
                         workspace, verdict is not None and not verdict.timed_out
                     )
 
-    def _timeout_ms(self, problem) -> int:
-        return getattr(problem, "timeout_ms", None) or self.config.timeout_ms
-
-    def _marker(self, problem) -> str:
-        return getattr(problem, "pass_marker", None) or self.config.pass_marker
-
     # -- the two gates -----------------------------------------------
 
     def syntax_test(self, candidate_source: str, problem) -> SimVerdict:
-        def compile_only(workspace: str, sources: list[str]) -> SimVerdict:
-            argv = _build_argv(self.config.compile_cmd, sources, "./design.out")
-            code, log, timed_out, duration = self._run(
-                argv, workspace, self._timeout_ms(problem)
-            )
-            passed = code == 0 and not timed_out
-            return SimVerdict(
-                SimPhase.COMPILE, passed, truncate_log(log), duration, timed_out
-            )
-
-        return self._evaluate(candidate_source, problem, False, compile_only)
+        return self._evaluate(candidate_source, problem, run=False)
 
     def function_test(self, candidate_source: str, problem) -> SimVerdict:
         """Compile with the testbench, then run; a failed compile reports
         SimPhase.COMPILE."""
-
-        def compile_and_run(workspace: str, sources: list[str]) -> SimVerdict:
-            timeout_ms = self._timeout_ms(problem)
-            # "./" so that a run_cmd of just {out} executes the file here
-            # rather than searching PATH.
-            argv = _build_argv(self.config.compile_cmd, sources, "./sim.out")
-            code, log, timed_out, duration = self._run(argv, workspace, timeout_ms)
-            if code != 0 or timed_out:
-                return SimVerdict(
-                    SimPhase.COMPILE, False, truncate_log(log), duration, timed_out
-                )
-            run_argv = _build_argv(self.config.run_cmd, [], "./sim.out")
-            code, run_log, timed_out, run_duration = self._run(
-                run_argv, workspace, timeout_ms
-            )
-            passed = code == 0 and not timed_out and self._marker(problem) in run_log
-            return SimVerdict(
-                SimPhase.RUN, passed, truncate_log(run_log),
-                duration + run_duration, timed_out,
-            )
-
-        return self._evaluate(candidate_source, problem, True, compile_and_run)
+        return self._evaluate(candidate_source, problem, run=True)
 
 
 def iverilog_config(**overrides) -> SimulatorConfig:

@@ -226,7 +226,12 @@ def test_criterion_06_progressive_scenario(progressive_runs: ProgressiveRuns):
 
     fixed = {"mux2", "and2", "xor2"}
     for result in progressive_runs.results:
-        means = {s.layer: s.mean_top_n for s in result.per_layer_stats}
+        trace = os.path.join(progressive_runs.dirs[0], result.problem_id,
+                             str(result.trial_index), "trace.jsonl")
+        with open(trace, encoding="utf-8") as fh:
+            last = json.loads(fh.read().splitlines()[-1])
+        assert last["event"] == "trial_result", result.problem_id
+        means = {s["layer"]: s["mean_top_n"] for s in last["per_layer_stats"]}
         assert set(means) == {1, 2}, result.problem_id
         if result.problem_id in fixed:
             assert means[2] > means[1], (result.problem_id, means)

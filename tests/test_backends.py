@@ -1,5 +1,7 @@
+import gc
 import json
 import threading
+import warnings
 
 import pytest
 import requests
@@ -174,6 +176,20 @@ class TestLoadScripted:
         with pytest.raises(SchemaError, match="tag_equals"):
             load_scripted(path)
 
+    @pytest.mark.parametrize("record", [
+        {"text": 5},
+        {"text": ["x"]},
+        {"text": None, "when": {}},
+        {"text": "x", "when": {"tag_contains": 5}},
+        {"text": "x", "when": {"prompt_contains": None}},
+        {"text": "x", "when": {"system_contains": ["a"]}},
+    ])
+    def test_non_string_text_or_predicate(self, tmp_path, record):
+        # Each would load and then fail inside a request with a TypeError.
+        path = self.write(tmp_path, [json.dumps({"text": "ok"}), json.dumps(record)])
+        with pytest.raises(SchemaError, match=":2:"):
+            load_scripted(path)
+
 
 class TestReplay:
     def test_recorder_to_replay_round_trip(self, tmp_path):
@@ -183,6 +199,7 @@ class TestReplay:
         second = req(user="two")
         recorder.generate(first)
         recorder.generate(second)
+        recorder.close()
 
         replay = ReplayBackend.from_transcript(transcript)
         # Replay is keyed by content, so order and tags no longer matter.
@@ -191,8 +208,11 @@ class TestReplay:
 
     def test_transcript_record_shape(self, tmp_path):
         transcript = str(tmp_path / "t.jsonl")
-        TranscriptRecorder(ScriptedBackend(["x"]), transcript).generate(req())
-        record = json.loads(open(transcript, encoding="utf-8").read())
+        recorder = TranscriptRecorder(ScriptedBackend(["x"]), transcript)
+        recorder.generate(req())
+        recorder.close()
+        with open(transcript, encoding="utf-8") as fh:
+            record = json.loads(fh.read())
         assert record["key"] == request_key(req())
         assert record["request"]["user_prompt"] == "design a widget"
         assert record["response_text"] == "x"
@@ -245,7 +265,9 @@ class TestReplay:
             table, _ = pass_table(scan_run(run_dir), [1])
             return table.per_k[1]
 
-        recorded = pass_at_1(TranscriptRecorder(rules, transcript), "record")
+        recorder = TranscriptRecorder(rules, transcript)
+        recorded = pass_at_1(recorder, "record")
+        recorder.close()
         replayed = pass_at_1(ReplayBackend.from_transcript(transcript), "replay")
         assert recorded == replayed == 0.5
 
@@ -261,6 +283,28 @@ class TestReplay:
             "p/t0/L1/S1/direct", "p/t0/L2/S1/direct", "p/t1/L1/S1/direct",
         ]
         assert [r["response_text"] for r in records] == ["c", "a", "b"]
+
+    def test_each_answer_is_on_disk_before_close(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        recorder = TranscriptRecorder(ScriptedBackend(["a", "b", "c"]), str(transcript))
+        for k in range(1, 4):
+            recorder.generate(req(tag="t/%d" % k))
+            with open(transcript, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert len(lines) == k
+            assert json.loads(lines[-1])["response_text"] == "abc"[k - 1]
+        recorder.close()
+        assert len(transcript.read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_a_collected_recorder_closes_its_file(self, tmp_path):
+        # A caller that never calls close() must not leak the open file.
+        recorder = TranscriptRecorder(ScriptedBackend(["a"]), str(tmp_path / "t.jsonl"))
+        recorder.generate(req())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del recorder
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_recorder_close_without_traffic(self, tmp_path):
         transcript = tmp_path / "t.jsonl"

@@ -253,6 +253,18 @@ class TestRun:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
         assert len((out / "transcript.jsonl").read_bytes().splitlines()) == 110
 
+    def test_non_string_predicate_fails_before_any_run_file(self, mini_run, capsys):
+        with open(mini_run["rules"], "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"text": "x", "when": {"tag_contains": 5}}) + "\n")
+        rc = run_cli(
+            "run", "--config", mini_run["config"], "--benchmark", mini_run["bench"],
+            "--out", mini_run["out"], "--backend", "scripted:%s" % mini_run["rules"],
+            "--sim", "stub",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("schema_error:")
+        assert not os.path.exists(mini_run["out"])
+
     def test_transcript_alone_marks_a_run(self, mini_run, capsys):
         os.makedirs(mini_run["out"])
         with open(os.path.join(mini_run["out"], "transcript.jsonl"), "w") as fh:
@@ -397,6 +409,27 @@ class TestPassk:
         assert rc == 1
         assert capsys.readouterr().err.startswith("missing_file:")
 
+    def test_config_not_an_object_is_corrupt(self, tmp_path, capsys):
+        run = synthetic_run(str(tmp_path / "run"))
+        with open(os.path.join(run, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump({"problems": ["p1", "p2"], "config": 5}, fh)
+        assert run_cli("passk", "--run", run, "--k", "1") == 1
+        assert capsys.readouterr().err.startswith("corrupt_trace:")
+
+
+@pytest.mark.parametrize("command", ["passk", "report"])
+@pytest.mark.parametrize("event", [
+    {"event": "layer_stats", "min_top_n": None, "window_values": []},
+    {"event": "trial_result", "functional_pass": True},
+])
+def test_event_without_a_read_field_is_corrupt(tmp_path, capsys, command, event):
+    run = synthetic_run(str(tmp_path / "run"))
+    trace = os.path.join(run, "p1", "0", "trace.jsonl")
+    with open(trace, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(event) + "\n")
+    assert run_cli(command, "--run", run, "--k", "1") == 1
+    assert capsys.readouterr().err.startswith("corrupt_trace: %s:1:" % trace)
+
 
 class TestReport:
     def test_writes_report(self, tmp_path, capsys):
@@ -406,7 +439,8 @@ class TestReport:
         out = capsys.readouterr().out
         assert "wrote" in out
         assert "pass@1 = 0.500000" in out
-        report = json.load(open(os.path.join(run, "report.json"), encoding="utf-8"))
+        with open(os.path.join(run, "report.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
         assert report["pass_at_k"]["per_k"]["1"] == pytest.approx(0.5)
 
     def test_csv_flag(self, tmp_path):
@@ -420,7 +454,8 @@ class TestReport:
         run = synthetic_run(str(tmp_path / "run"))
         rc = run_cli("report", "--run", run)
         assert rc == 0
-        report = json.load(open(os.path.join(run, "report.json"), encoding="utf-8"))
+        with open(os.path.join(run, "report.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
         assert list(report["pass_at_k"]["per_k"]) == ["1"]
         assert len(report["warnings"]) == 2
 
@@ -517,6 +552,7 @@ class TestHttpBackendPool:
 
             assert wave() == seats
             assert wave() == seats
+            backend.close()
         finally:
             server.shutdown()
             server.server_close()

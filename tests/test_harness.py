@@ -248,10 +248,12 @@ class TestScanRun:
             ],
         })
         scan = scan_run(run)
-        assert scan.layer_min[1] == [0.8, 0.6]
-        assert scan.layer_mean[1] == [0.9, 0.7]
-        assert scan.layer_vendi[1] == [1.5, 2.0]
-        assert scan.layer_rank_values[1] == {1: [1.0, 0.8], 2: [0.8, 0.6]}
+        assert list(scan.layer_stats) == [1]
+        events = scan.layer_stats[1]
+        assert [e["min_top_n"] for e in events] == [0.8, 0.6]
+        assert [e["mean_top_n"] for e in events] == [0.9, 0.7]
+        assert [e["vendi_top_n"] for e in events] == [1.5, 2.0]
+        assert [e["window_values"] for e in events] == [[1.0, 0.8], [0.8, 0.6]]
 
     def test_null_layer_stats_ignored(self, tmp_path):
         run = write_run(str(tmp_path), {
@@ -261,7 +263,7 @@ class TestScanRun:
             ],
         })
         scan = scan_run(run)
-        assert scan.layer_min == {}
+        assert scan.layer_stats == {}
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFileError):
@@ -278,6 +280,39 @@ class TestScanRun:
         )
         with pytest.raises(CorruptTraceError, match="trials"):
             scan_run(str(tmp_path))
+
+    @pytest.mark.parametrize("manifest", [
+        [1],
+        {"problems": ["p1"], "config": 5},
+        {"problems": "p1", "config": {"trials": 1}},
+        {"problems": [5], "config": {"trials": 1}},
+        {"problems": ["p1"], "config": {"trials": "2"}},
+        {"problems": ["p1"], "config": {"trials": True}},
+    ])
+    def test_malformed_manifest_is_corrupt(self, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CorruptTraceError, match="manifest.json"):
+            scan_run(str(tmp_path))
+
+    @pytest.mark.parametrize("event", [
+        {"event": "layer_stats", "min_top_n": None, "window_values": []},
+        {"event": "layer_stats", "layer": 1, "min_top_n": 0.5},
+        {"event": "layer_stats", "layer": [1], "min_top_n": None, "window_values": []},
+        stats_event(1, 0.5, None, 1.0, [0.5]),
+        stats_event(1, 0.5, 0.5, "1.0", [0.5]),
+        stats_event(1, 0.5, 0.5, 1.0, ["0.5"]),
+        stats_event(1, 0.5, 0.5, 1.0, 0.5),
+        {"event": "trial_result", "functional_pass": True},
+        {"event": "trial_result", "syntax_pass": "no", "functional_pass": "no"},
+        {"event": "agent_error", "message": "lost"},
+        {"event": "agent_error", "error_code": ["x"]},
+        {"event": "cache_insert", "kind": "hdl"},
+        {"event": "cache_insert", "kind": "hdl", "score": {"value": 0.5}},
+    ])
+    def test_malformed_event_is_corrupt(self, tmp_path, event):
+        run = write_run(str(tmp_path), {("p1", 0): [event, result_event()]})
+        with pytest.raises(CorruptTraceError, match="trace.jsonl:1: "):
+            build_report(run, [1])
 
     def test_corrupt_trace_names_file_and_line(self, tmp_path):
         run = write_run(str(tmp_path), {("p1", 0): [result_event()]})
@@ -342,6 +377,13 @@ class TestBuildReport:
                 stats_event(2, 0.7, 0.75, 1.4, [0.8, 0.7]),
                 result_event(True, False),
             ],
+            # an empty first window, then a shorter one: ragged ranks
+            ("p1", 2): [
+                insert_event("syntax_fail", 0.5),
+                stats_event(1, None, None, None, []),
+                stats_event(2, 0.5, 0.5, 1.0, [0.5]),
+                result_event(False, False),
+            ],
         })
 
     def test_report_shape_and_persistence(self, tmp_path):
@@ -352,7 +394,8 @@ class TestBuildReport:
             "incomplete_trials", "pass_at_k", "per_layer", "diversity",
             "failure_taxonomy", "warnings",
         }
-        on_disk = json.load(open(os.path.join(run, REPORT_NAME), encoding="utf-8"))
+        with open(os.path.join(run, REPORT_NAME), encoding="utf-8") as fh:
+            on_disk = json.load(fh)
         assert on_disk == report
 
     def test_layer_rows(self, tmp_path):
@@ -364,24 +407,29 @@ class TestBuildReport:
         assert rows[1]["per_rank_mean"] == {
             "1": pytest.approx(0.9), "2": pytest.approx(0.7),
         }
-        assert rows[2]["mean_top_n"] == pytest.approx(0.85)
+        assert rows[2]["min_top_n"] == pytest.approx(0.7)
+        assert rows[2]["mean_top_n"] == pytest.approx(2.2 / 3)
+        assert rows[2]["vendi_top_n"] == pytest.approx(1.2)
+        assert rows[2]["per_rank_mean"] == {
+            "1": pytest.approx(2.3 / 3), "2": pytest.approx(0.8),
+        }
 
     def test_diversity_and_taxonomy(self, tmp_path):
         report = build_report(self.full_run(tmp_path), [1])
         assert report["diversity"]["similarity_kind"] == SIMILARITY_KIND
         assert report["diversity"]["per_layer_vendi"] == [
-            pytest.approx(1.75), pytest.approx(1.3),
+            pytest.approx(1.75), pytest.approx(1.2),
         ]
         assert report["failure_taxonomy"]["p1"] == {
-            "perfect": 1, "functional_fail": 1, "syntax_fail": 0,
+            "perfect": 1, "functional_fail": 1, "syntax_fail": 1,
         }
 
     def test_pass_section(self, tmp_path):
         report = build_report(self.full_run(tmp_path), [1, 2, 9])
         assert report["pass_at_k"]["per_k"] == {
-            "1": pytest.approx(0.5), "2": pytest.approx(1.0),
+            "1": pytest.approx(1 / 3), "2": pytest.approx(2 / 3),
         }
-        assert report["pass_at_k"]["n"] == 2
+        assert report["pass_at_k"]["n"] == 3
         assert any("k=9" in w for w in report["warnings"])
 
     def test_curves_csv(self, tmp_path):
@@ -395,6 +443,8 @@ class TestBuildReport:
             "rank1_mean", "rank2_mean",
         }
         assert float(rows[0]["rank1_mean"]) == pytest.approx(0.9)
+        assert float(rows[1]["rank1_mean"]) == pytest.approx(2.3 / 3)
+        assert float(rows[1]["rank2_mean"]) == pytest.approx(0.8)
 
     def test_no_stray_temp_files(self, tmp_path):
         run = self.full_run(tmp_path)

@@ -250,7 +250,7 @@ class TestDegradation:
         assert stats[0]["window_values"] == []
         assert stats[1]["min_top_n"] == 1.0
         assert result.final_verdicts == (True, True)
-        assert result.per_layer_stats[0].mean_top_n is None
+        assert events[-1]["per_layer_stats"][0]["mean_top_n"] is None
 
     def test_all_layers_empty_is_pipeline_failure(self, tmp_path):
         trace = str(tmp_path / "trace.jsonl")
@@ -310,7 +310,8 @@ class TestRunLayout:
         bench = Benchmark(name="toy", problems=(make_problem(), make_problem("p2")))
         config = small_config(trials=3, random_seed=40)
         write_manifest(str(tmp_path), bench, config, "rules")
-        manifest = json.load(open(tmp_path / "manifest.json", encoding="utf-8"))
+        with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
         assert manifest["benchmark"] == "toy"
         assert manifest["problems"] == ["widget", "p2"]
         assert manifest["seeds"] == [40, 41, 42]
