@@ -370,15 +370,6 @@ def run_twostage_agent(
     return record.extracted_source, intermediate, rounds_used, prompts, checks
 
 
-def assign_intermediate_score(
-    entry_id, language: IntermediateLanguage, source: str, hdl_score: QualityScore
-) -> IntermediateCacheEntry:
-    """An intermediate inherits the score of the HDL generated from it."""
-    return IntermediateCacheEntry(
-        id=entry_id, language=language, source=source, score=hdl_score.value
-    )
-
-
 def gated_evaluation(
     source: str,
     problem: DesignProblem,

@@ -160,10 +160,14 @@ class HttpBackend:
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 last_error = "malformed response body: %s" % exc
                 continue
-            usage = payload.get("usage") or {}
-            token_usage = None
-            if "prompt_tokens" in usage and "completion_tokens" in usage:
+            if not isinstance(text, str):
+                last_error = "malformed response body: content is not a string"
+                continue
+            try:
+                usage = payload["usage"]
                 token_usage = (int(usage["prompt_tokens"]), int(usage["completion_tokens"]))
+            except (KeyError, TypeError, ValueError, OverflowError):
+                token_usage = None  # usage is optional: keep the answer without it
             return GenerationResponse(
                 text=text,
                 backend_id=self.backend_id,

@@ -142,7 +142,7 @@ def _cmd_run(args) -> int:
     templates = load_templates(args.templates) if args.templates else None
     checkers = _build_checkers(args, config.max_stage1_refine_rounds)
     try:
-        results = run_benchmark(
+        run_benchmark(
             benchmark,
             config,
             backend,
@@ -156,8 +156,8 @@ def _cmd_run(args) -> int:
     finally:
         backend.close()
     scan = scan_run(args.out)
-    if results and all(r.candidate_count == 0 for r in results):
-        message = "all %d trials failed before aggregation" % len(results)
+    if scan.failed_trials == len(scan.problems) * scan.n_trials:
+        message = "all %d trials failed before aggregation" % scan.failed_trials
         # Every slot was lost to an exhausted backend: the environment
         # is at fault, not the pipeline.
         if set(scan.agent_errors) == {BackendExhaustedError.error_code}:

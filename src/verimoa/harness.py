@@ -156,7 +156,7 @@ def _read_trace(path: str) -> list[dict]:
                 event = json.loads(line)
             except ValueError as exc:
                 raise CorruptTraceError("%s:%d: %s" % (path, line_no, exc))
-            if not isinstance(event, dict) or "event" not in event:
+            if not isinstance(event, dict) or not isinstance(event.get("event"), str):
                 raise CorruptTraceError(
                     "%s:%d: not a trace event object" % (path, line_no)
                 )
@@ -179,6 +179,7 @@ class RunScan:
     # layer -> its layer_stats events with a non-empty window
     layer_stats: dict[int, list[dict]] = field(default_factory=dict)
     incomplete: int = 0
+    failed_trials: int = 0  # traces ending in trial_error
     # error_code -> failed agent slots, whole run
     agent_errors: Counter = field(default_factory=Counter)
 
@@ -234,6 +235,7 @@ def scan_run(run_dir: str) -> RunScan:
                 elif kind == "trial_error":
                     # failed trial: complete for accounting, never a pass
                     saw_result = True
+                    scan.failed_trials += 1
             if not saw_result:
                 scan.incomplete += 1
         scan.per_problem_c[problem_id] = correct

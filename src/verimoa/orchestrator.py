@@ -18,10 +18,10 @@ ceiling of their own for the checkers.  A slot that waits for the
 simulator holds no LLM seat.
 
 Trial failures degrade, never abort the benchmark: a failing agent loses
-its slot for that layer, an empty cache at aggregation fails the trial,
-and a failed trial counts as a non-pass.  An AuthError is the exception:
-no later request can succeed, so it cancels the queued trials and stops
-the run.
+its slot for that layer, and a trial whose cache is empty at aggregation
+ends its trace, its only result, in trial_error and counts as a non-pass.
+An AuthError is the exception: no later request can succeed, so it
+cancels the queued trials and stops the run.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .agents import (
     IntermediateChecker,
     PromptRecord,
     RefineRound,
-    assign_intermediate_score,
     best_round,
     gated_evaluation,
     load_templates,
@@ -55,23 +54,14 @@ from .cache import (
     CandidateId,
     GlobalCache,
     HdlCacheEntry,
+    IntermediateCacheEntry,
     IntermediateLanguage,
     PATH_LANGUAGE,
 )
-from .errors import AuthError, PipelineFailureError, VerimoaError
+from .errors import AuthError, VerimoaError
 from .harness import vendi_score
 from .memo import MemoChecker, MemoSimulator, VerdictMemo
 from .problems import Benchmark, DesignProblem, RunConfig
-from .scoring import QualityScore
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    problem_id: str
-    trial_index: int
-    final_source: str
-    final_verdicts: tuple[bool, bool]  # (syntax, functional)
-    candidate_count: int
 
 
 class TraceWriter:
@@ -98,7 +88,6 @@ class _SlotOutcome:
     checks: list[CheckerRecord]
     rounds: list[RefineRound]
     intermediate: str | None
-    stage1_rounds_used: int
     error: VerimoaError | None = None
 
 
@@ -139,7 +128,6 @@ def _run_slot(
     prompts: list[PromptRecord] = []
     checks: list[CheckerRecord] = []
     intermediate = None
-    stage1_rounds = 0
     try:
         if spec.path is AgentPath.BASE:
             source, prompts = run_base_agent(
@@ -147,7 +135,7 @@ def _run_slot(
             )
         else:
             language = PATH_LANGUAGE[spec.path]
-            source, intermediate, stage1_rounds, prompts, checks = run_twostage_agent(
+            source, intermediate, _, prompts, checks = run_twostage_agent(
                 spec,
                 problem,
                 hdl_refs,
@@ -174,15 +162,12 @@ def _run_slot(
             run_functional,
         )
         prompts.extend(refine_prompts)
-        return _SlotOutcome(
-            spec.slot, spec.path, prompts, checks, rounds, intermediate, stage1_rounds
-        )
+        return _SlotOutcome(spec.slot, spec.path, prompts, checks, rounds, intermediate)
     except AuthError:
         raise
     except VerimoaError as exc:
         return _SlotOutcome(
-            spec.slot, spec.path, prompts, checks, [], intermediate,
-            stage1_rounds, error=exc,
+            spec.slot, spec.path, prompts, checks, [], intermediate, error=exc
         )
 
 
@@ -197,9 +182,10 @@ def run_trial(
     templates: dict[str, dict[str, str]] | None = None,
     checkers: dict[IntermediateLanguage, IntermediateChecker] | None = None,
     run_functional: bool = True,
-) -> TrialResult:
-    """One full pipeline episode for one problem. Raises PipelineFailure
-    when no candidate survives to aggregation.
+) -> None:
+    """One full pipeline episode for one problem.  Its trace ends in
+    trial_result, or in trial_error (a non-pass) when no candidate survives
+    to aggregation; nothing is returned.
 
     The slots of each layer run on the trial's own pool of layer_width
     workers; this thread writes the trace in slot order at each barrier,
@@ -290,9 +276,10 @@ def run_trial(
                         }
                     )
                     if rnd.round_index == 0 and outcome.intermediate is not None:
+                        # an intermediate inherits its HDL's score
                         language = PATH_LANGUAGE[outcome.path]
-                        entry = assign_intermediate_score(
-                            cid, language, outcome.intermediate, rnd.score
+                        entry = IntermediateCacheEntry(
+                            cid, language, outcome.intermediate, rnd.score.value
                         )
                         cache.insert_intermediate(entry)
                         writer.write(
@@ -312,10 +299,7 @@ def run_trial(
         if not refs:
             writer.write({"event": "trial_error", "error_code": "pipeline_failure",
                           "message": "no scorable candidates reached aggregation"})
-            raise PipelineFailureError(
-                "%s trial %d: no scorable candidates reached aggregation"
-                % (problem.id, trial_index)
-            )
+            return
         agg_tag = "%s/t%d/L%d/S1" % (problem.id, trial_index, agg_layer)
         source, agg_prompts, fallback = run_aggregator(
             problem, refs, backend, templates["aggregator"], config.sampling, agg_tag
@@ -332,54 +316,42 @@ def run_trial(
             }
         )
 
-        if config.enable_sim_refinement and config.max_sim_refine_rounds > 0:
-            rounds, refine_prompts = sim_refine(
-                source,
-                problem,
-                sim,
-                backend,
-                config.score_constants,
-                templates["aggregator"],
-                config.sampling,
-                config.max_sim_refine_rounds,
-                agg_tag,
-                run_functional,
-            )
-            for record in refine_prompts:
-                writer.write(_llm_call_event(agg_layer, 1, record))
-            chosen = best_round(rounds)
-            final_source = chosen.source
-            final_score: QualityScore = chosen.score
-            if not run_functional:
-                final_score, _ = gated_evaluation(
-                    final_source, problem, sim, config.score_constants, True
-                )
-        else:
-            final_source = source
-            final_score, _ = gated_evaluation(
-                final_source, problem, sim, config.score_constants, True
-            )
-
-        result = TrialResult(
-            problem_id=problem.id,
-            trial_index=trial_index,
-            final_source=final_source,
-            final_verdicts=(final_score.syntax_pass, final_score.functional_pass),
-            candidate_count=len(cache),
+        # With no rounds to run, one evaluation under the functional gate is
+        # final; a compile-only loop's chosen round is evaluated again.
+        max_rounds = config.max_sim_refine_rounds if config.enable_sim_refinement else 0
+        functional_gate = run_functional or max_rounds == 0
+        rounds, refine_prompts = sim_refine(
+            source,
+            problem,
+            sim,
+            backend,
+            config.score_constants,
+            templates["aggregator"],
+            config.sampling,
+            max_rounds,
+            agg_tag,
+            functional_gate,
         )
+        for record in refine_prompts:
+            writer.write(_llm_call_event(agg_layer, 1, record))
+        chosen = best_round(rounds)
+        final_score = chosen.score
+        if not functional_gate:
+            final_score, _ = gated_evaluation(
+                chosen.source, problem, sim, config.score_constants, True
+            )
         writer.write(
             {
                 "event": "trial_result",
                 "problem": problem.id,
                 "trial": trial_index,
-                "final_source": final_source,
-                "syntax_pass": result.final_verdicts[0],
-                "functional_pass": result.final_verdicts[1],
-                "candidate_count": result.candidate_count,
+                "final_source": chosen.source,
+                "syntax_pass": final_score.syntax_pass,
+                "functional_pass": final_score.functional_pass,
+                "candidate_count": len(cache),
                 "per_layer_stats": per_layer,
             }
         )
-        return result
     finally:
         writer.close()
         pool.shutdown()
@@ -440,7 +412,7 @@ def run_benchmark(
     templates: dict[str, dict[str, str]] | None = None,
     checkers: dict[IntermediateLanguage, IntermediateChecker] | None = None,
     run_functional: bool = True,
-) -> list[TrialResult]:
+) -> None:
     """trials x problems, concurrently, one trace file per trial.
 
     Up to jobs x layer_width trials run at once, each with its own slot
@@ -449,8 +421,9 @@ def run_benchmark(
     simulator keeps its own gate of one evaluation per CPU, and the checkers
     have no ceiling of their own.  The simulator and the checkers are put
     behind one VerdictMemo for this call, so each distinct candidate is
-    evaluated once per run.  The first error a trial raises (an AuthError,
-    say) cancels the queued trials and is re-raised.
+    evaluated once per run.  Nothing is returned: a trial without candidates
+    ends its trace in trial_error, a non-pass.  The first error a trial
+    raises (an AuthError, say) cancels the queued trials and is re-raised.
     """
     benchmark.validate()
     config.validate()
@@ -464,34 +437,21 @@ def run_benchmark(
     checkers = {lang: MemoChecker(c, memo) for lang, c in checkers.items()}
     write_manifest(run_dir, benchmark, config, backend.backend_id)
 
-    def one(problem: DesignProblem, trial: int) -> TrialResult:
-        trace_path = os.path.join(run_dir, problem.id, str(trial), "trace.jsonl")
-        try:
-            return run_trial(
+    with ThreadPoolExecutor(max_workers=width) as trials:
+        futures = [
+            trials.submit(
+                run_trial,
                 problem,
                 config,
                 backend,
                 sim,
                 seed=config.random_seed + trial,
                 trial_index=trial,
-                trace_path=trace_path,
+                trace_path=os.path.join(run_dir, problem.id, str(trial), "trace.jsonl"),
                 templates=templates,
                 checkers=checkers,
                 run_functional=run_functional,
             )
-        except PipelineFailureError:
-            # the trial is lost, not the run; scored as a non-pass
-            return TrialResult(
-                problem_id=problem.id,
-                trial_index=trial,
-                final_source="",
-                final_verdicts=(False, False),
-                candidate_count=0,
-            )
-
-    with ThreadPoolExecutor(max_workers=width) as trials:
-        futures = [
-            trials.submit(one, problem, trial)
             for problem in benchmark.problems
             for trial in range(config.trials)
         ]
@@ -500,4 +460,3 @@ def run_benchmark(
         if failed:
             trials.shutdown(wait=False, cancel_futures=True)
             raise failed[0].exception()
-        return [f.result() for f in futures]

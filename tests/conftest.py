@@ -225,7 +225,6 @@ class ProgressiveRuns:
     bench: object
     config: object
     dirs: tuple[str, str]
-    results: tuple  # TrialResults of the first run
     reports: tuple  # parsed report.json of both runs
 
 
@@ -236,16 +235,11 @@ def progressive_runs(tmp_path_factory) -> ProgressiveRuns:
     bench = load_benchmark(TOY_BENCH)
     config = load_config(PROGRESSIVE_CONFIG)
     dirs = []
-    results = None
     reports = []
     for i in range(2):
         backend = load_scripted(PROGRESSIVE_RULES)
         run_dir = str(tmp_path_factory.mktemp("progressive%d" % i))
-        outcome = run_benchmark(
-            bench, config, backend, stub_simulator(), run_dir, jobs=4
-        )
-        if i == 0:
-            results = outcome
+        run_benchmark(bench, config, backend, stub_simulator(), run_dir, jobs=4)
         build_report(run_dir, ks=[1])
         with open(os.path.join(run_dir, "report.json"), encoding="utf-8") as fh:
             reports.append(json.load(fh))
@@ -254,6 +248,5 @@ def progressive_runs(tmp_path_factory) -> ProgressiveRuns:
         bench=bench,
         config=config,
         dirs=tuple(dirs),
-        results=tuple(results),
         reports=tuple(reports),
     )

@@ -225,18 +225,21 @@ def test_criterion_06_progressive_scenario(progressive_runs: ProgressiveRuns):
     assert report["incomplete_trials"] == 0
 
     fixed = {"mux2", "and2", "xor2"}
-    for result in progressive_runs.results:
-        trace = os.path.join(progressive_runs.dirs[0], result.problem_id,
-                             str(result.trial_index), "trace.jsonl")
+    for problem, trial in itertools.product(
+        progressive_runs.bench.problems, range(progressive_runs.config.trials)
+    ):
+        trace = os.path.join(
+            progressive_runs.dirs[0], problem.id, str(trial), "trace.jsonl"
+        )
         with open(trace, encoding="utf-8") as fh:
             last = json.loads(fh.read().splitlines()[-1])
-        assert last["event"] == "trial_result", result.problem_id
+        assert last["event"] == "trial_result", problem.id
         means = {s["layer"]: s["mean_top_n"] for s in last["per_layer_stats"]}
-        assert set(means) == {1, 2}, result.problem_id
-        if result.problem_id in fixed:
-            assert means[2] > means[1], (result.problem_id, means)
+        assert set(means) == {1, 2}, problem.id
+        if problem.id in fixed:
+            assert means[2] > means[1], (problem.id, means)
         else:
-            assert means[2] >= means[1], (result.problem_id, means)
+            assert means[2] >= means[1], (problem.id, means)
 
     by_layer = {entry["layer"]: entry["mean_top_n"] for entry in report["per_layer"]}
     assert by_layer[2] > by_layer[1]

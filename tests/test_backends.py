@@ -407,10 +407,22 @@ class TestHttpBackend:
         session = FakeSession([
             FakeResponse(200, invalid_body=True),
             FakeResponse(200, {"choices": []}),
+            ok_response(5),  # content that is not a string
             ok_response("ok"),
         ])
-        assert http_backend(session).generate(req()).text == "ok"
-        assert len(session.calls) == 3
+        assert http_backend(session, max_retries=4).generate(req()).text == "ok"
+        assert len(session.calls) == 4
+
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": None, "completion_tokens": 5},
+        "prompt_tokens completion_tokens",
+        {"prompt_tokens": "x", "completion_tokens": 5},
+    ])
+    def test_malformed_usage_keeps_the_answer(self, usage):
+        session = FakeSession([ok_response("hi", usage)])
+        response = http_backend(session).generate(req())
+        assert (response.text, response.token_usage) == ("hi", None)
+        assert len(session.calls) == 1
 
     def test_exhaustion_reports_last_error(self):
         session = FakeSession([FakeResponse(500)] * 3)

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     CLEAN_MODULE,
+    FIXTURES,
     PROGRESSIVE_CONFIG,
     PROGRESSIVE_DIGESTS,
     PROGRESSIVE_RULES,
@@ -278,19 +279,41 @@ class TestRun:
         assert "transcript.jsonl" in capsys.readouterr().err
         assert os.listdir(mini_run["out"]) == ["transcript.jsonl"]
 
-    @pytest.mark.parametrize("jobs", ["1", "4"])
-    def test_progressive_run_matches_golden_digests(self, tmp_path, jobs):
-        # Digests of the progressive run directory, pinned so that any
-        # change to traces, manifest or transcript shows; refresh with
-        # sha256sum from a run directory when a change means to move them.
+    @pytest.mark.parametrize(
+        "config, digests, flags, jobs",
+        [
+            pytest.param(PROGRESSIVE_CONFIG, PROGRESSIVE_DIGESTS, (), jobs, id=jobs)
+            for jobs in ("1", "4")
+        ] + [
+            pytest.param(
+                os.path.join(FIXTURES, "%s.config.json" % name.split("-")[0]),
+                os.path.join(FIXTURES, "%s.sha256" % name),
+                flags, jobs, id="%s-%s" % (name, jobs),
+            )
+            for name, flags in (
+                ("progressive-compile-only", ("--no-inloop-functional",)),
+                ("refine", ()),
+                ("refine-compile-only", ("--no-inloop-functional",)),
+            )
+            for jobs in ("1", "4")
+        ],
+    )
+    def test_progressive_run_matches_golden_digests(
+        self, tmp_path, config, digests, flags, jobs
+    ):
+        # Digests of the run directory, pinned so that any change to
+        # traces, manifest or transcript shows; refresh with sha256sum from
+        # a run directory when a change means to move them.  The plain ids
+        # are the progressive config; the others add sim refinement, the
+        # compile-only in-loop gate, or both.
         out = tmp_path / "out"
         rc = run_cli(
-            "run", "--config", PROGRESSIVE_CONFIG, "--benchmark", TOY_BENCH,
+            "run", "--config", config, "--benchmark", TOY_BENCH,
             "--out", str(out), "--backend", "scripted:%s" % PROGRESSIVE_RULES,
-            "--sim", "stub", "--jobs", jobs,
+            "--sim", "stub", "--jobs", jobs, *flags,
         )
         assert rc == 0
-        with open(PROGRESSIVE_DIGESTS, encoding="utf-8") as fh:
+        with open(digests, encoding="utf-8") as fh:
             golden = dict(reversed(line.split()) for line in fh if line.strip())
         assert len(golden) == 12
         actual = {

@@ -308,6 +308,8 @@ class TestScanRun:
         {"event": "agent_error", "error_code": ["x"]},
         {"event": "cache_insert", "kind": "hdl"},
         {"event": "cache_insert", "kind": "hdl", "score": {"value": 0.5}},
+        {"event": ["x"]},
+        {"event": {"a": 1}},
     ])
     def test_malformed_event_is_corrupt(self, tmp_path, event):
         run = write_run(str(tmp_path), {("p1", 0): [event, result_event()]})

@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import os
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import (
     CLEAN_MODULE,
     PROGRESSIVE_CONFIG,
+    PROGRESSIVE_RULES,
     TOY_BENCH,
     FakeSimulator,
     make_problem,
@@ -20,8 +23,9 @@ from verimoa.backends import (
     ResponseRule,
     RuleBackend,
     ScriptedBackend,
+    load_scripted,
 )
-from verimoa.errors import AuthError, BackendExhaustedError, PipelineFailureError
+from verimoa.errors import AuthError, BackendExhaustedError
 from verimoa.orchestrator import run_benchmark, run_trial, write_manifest
 from verimoa.problems import (
     Benchmark,
@@ -64,9 +68,23 @@ def read_trace(path):
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def final_verdicts(events):
+    """(syntax, functional) of a trace ending in trial_result."""
+    assert events[-1]["event"] == "trial_result"
+    return events[-1]["syntax_pass"], events[-1]["functional_pass"]
+
+
+def widget_traces(run_dir, trials):
+    return [
+        read_trace(str(run_dir / "widget" / str(trial) / "trace.jsonl"))
+        for trial in range(trials)
+    ]
+
+
 def run_one(tmp_path, config=None, backend=None, sim=None, **kwargs):
+    """Run one trial of the widget problem; returns its trace events."""
     trace = str(tmp_path / "trace.jsonl")
-    result = run_trial(
+    run_trial(
         make_problem(),
         config or small_config(),
         backend or happy_backend(),
@@ -76,12 +94,12 @@ def run_one(tmp_path, config=None, backend=None, sim=None, **kwargs):
         trace_path=trace,
         **kwargs,
     )
-    return result, read_trace(trace)
+    return read_trace(trace)
 
 
 class TestEventOrder:
     def test_canonical_trace_shape(self, tmp_path):
-        result, events = run_one(tmp_path)
+        events = run_one(tmp_path)
         assert events[0] == {
             "event": "trial_start", "problem": "widget", "trial": 0, "seed": 7,
         }
@@ -101,7 +119,7 @@ class TestEventOrder:
         assert last_insert < agg_index
 
     def test_layer_barrier_precedes_next_layer(self, tmp_path):
-        _, events = run_one(tmp_path)
+        events = run_one(tmp_path)
         stats_1 = next(
             i for i, e in enumerate(events)
             if e["event"] == "layer_stats" and e["layer"] == 1
@@ -113,7 +131,7 @@ class TestEventOrder:
         assert all(i > stats_1 for i in layer2_events)
 
     def test_no_timing_fields_in_trace(self, tmp_path):
-        _, events = run_one(tmp_path)
+        events = run_one(tmp_path)
         keys = {key for event in events for key in event}
         leaky = [k for k in keys if "time" in k or "ms" in k or "duration" in k]
         assert leaky == []
@@ -174,7 +192,7 @@ class TestCaching:
         config = small_config(
             enable_sim_refinement=True, max_sim_refine_rounds=1
         )
-        result, events = run_one(tmp_path, config=config, backend=backend)
+        events = run_one(tmp_path, config=config, backend=backend)
         inserts = [e for e in events if e["event"] == "cache_insert"]
         intermediates = [e for e in inserts if e["kind"] == "intermediate"]
         assert all(e["id"]["refine_round"] == 0 for e in intermediates)
@@ -196,7 +214,7 @@ class TestCaching:
             ResponseRule(text=BROKEN_REPLY),
         ])
         config = small_config(enable_sim_refinement=True, max_sim_refine_rounds=1)
-        _, events = run_one(tmp_path, config=config, backend=backend)
+        events = run_one(tmp_path, config=config, backend=backend)
         inserts = [e for e in events if e["event"] == "cache_insert"]
         by_key = {
             (e["id"]["layer"], e["id"]["slot"], e["id"]["refine_round"], e["kind"]): e
@@ -215,7 +233,7 @@ class TestCaching:
             ResponseRule(text=PY_REPLY, tag_contains="stage1", system_contains="Python"),
             ResponseRule(text=BROKEN_REPLY),
         ])
-        result, events = run_one(tmp_path, config=config, backend=backend)
+        events = run_one(tmp_path, config=config, backend=backend)
         agg_index = next(i for i, e in enumerate(events) if e["event"] == "aggregate")
         later_inserts = [
             e for e in events[agg_index:] if e["event"] == "cache_insert"
@@ -225,12 +243,12 @@ class TestCaching:
             e for e in events
             if e["event"] == "cache_insert" and e["kind"] == "hdl"
         ]
-        assert result.candidate_count == len(hdl_inserts)
+        assert events[-1]["candidate_count"] == len(hdl_inserts)
 
     def test_candidate_count_without_refinement(self, tmp_path):
-        result, _ = run_one(tmp_path)
+        events = run_one(tmp_path)
         # 2 layers x 3 slots, single round each.
-        assert result.candidate_count == 6
+        assert events[-1]["candidate_count"] == 6
 
 
 class TestDegradation:
@@ -240,7 +258,7 @@ class TestDegradation:
             ResponseRule(text=VERILOG_REPLY, tag_contains="/L3/"),
         ])
         config = small_config(layer_width=2, mixture=("Base", "Base"))
-        result, events = run_one(tmp_path, config=config, backend=backend)
+        events = run_one(tmp_path, config=config, backend=backend)
         errors = [e for e in events if e["event"] == "agent_error"]
         assert len(errors) == 2
         assert all(e["layer"] == 1 for e in errors)
@@ -249,17 +267,11 @@ class TestDegradation:
         assert stats[0]["min_top_n"] is None
         assert stats[0]["window_values"] == []
         assert stats[1]["min_top_n"] == 1.0
-        assert result.final_verdicts == (True, True)
+        assert final_verdicts(events) == (True, True)
         assert events[-1]["per_layer_stats"][0]["mean_top_n"] is None
 
     def test_all_layers_empty_is_pipeline_failure(self, tmp_path):
-        trace = str(tmp_path / "trace.jsonl")
-        with pytest.raises(PipelineFailureError):
-            run_trial(
-                make_problem(), small_config(), ScriptedBackend([]),
-                FakeSimulator(), seed=0, trial_index=0, trace_path=trace,
-            )
-        events = read_trace(trace)
+        events = run_one(tmp_path, backend=ScriptedBackend([]))
         assert events[-1]["event"] == "trial_error"
         assert events[-1]["error_code"] == "pipeline_failure"
         errors = [e for e in events if e["event"] == "agent_error"]
@@ -269,15 +281,14 @@ class TestDegradation:
     def test_run_benchmark_degrades_failed_trials(self, tmp_path):
         bench = Benchmark(name="one", problems=(make_problem(),))
         config = small_config(trials=2)
-        results = run_benchmark(
-            bench, config, ScriptedBackend([]), FakeSimulator(),
-            str(tmp_path / "run"), jobs=2,
+        run_dir = tmp_path / "run"
+        run_benchmark(
+            bench, config, ScriptedBackend([]), FakeSimulator(), str(run_dir), jobs=2,
         )
-        assert len(results) == 2
-        for result in results:
-            assert result.candidate_count == 0
-            assert result.final_verdicts == (False, False)
-            assert result.final_source == ""
+        for events in widget_traces(run_dir, 2):
+            assert events[-1]["event"] == "trial_error"
+            kinds = {e["event"] for e in events}
+            assert "cache_insert" not in kinds and "trial_result" not in kinds
 
     def test_checker_refinement_loop_traced(self, tmp_path):
         backend = RuleBackend([
@@ -289,7 +300,7 @@ class TestDegradation:
             ResponseRule(text=VERILOG_REPLY),
         ])
         config = small_config(max_stage1_refine_rounds=2)
-        _, events = run_one(tmp_path, config=config, backend=backend)
+        events = run_one(tmp_path, config=config, backend=backend)
         checks = [
             e for e in events
             if e["event"] == "checker" and e["slot"] == 2 and e["layer"] == 1
@@ -322,14 +333,14 @@ class TestRunLayout:
     def test_run_directory_layout(self, tmp_path):
         bench = Benchmark(name="one", problems=(make_problem(),))
         run_dir = tmp_path / "run"
-        results = run_benchmark(
+        run_benchmark(
             bench, small_config(trials=2), happy_backend(), FakeSimulator(),
             str(run_dir), jobs=2,
         )
-        assert {r.trial_index for r in results} == {0, 1}
         assert (run_dir / "manifest.json").is_file()
-        for trial in (0, 1):
-            assert (run_dir / "widget" / str(trial) / "trace.jsonl").is_file()
+        for trial, events in enumerate(widget_traces(run_dir, 2)):
+            assert events[-1]["event"] == "trial_result"
+            assert events[-1]["trial"] == trial
 
     def test_benchmark_seeds_offset_by_trial(self, tmp_path):
         bench = Benchmark(name="one", problems=(make_problem(),))
@@ -344,13 +355,65 @@ class TestRunLayout:
 
     def test_final_verdicts_reflect_reevaluation(self, tmp_path):
         # The aggregator's merged answer is evaluated fresh for the result.
-        result, events = run_one(tmp_path)
-        assert result.final_verdicts == (True, True)
-        assert result.final_source == CLEAN_MODULE.strip("\n")
+        events = run_one(tmp_path)
         trial_result = events[-1]
         assert trial_result["syntax_pass"] is True
         assert trial_result["functional_pass"] is True
-        assert trial_result["candidate_count"] == result.candidate_count
+        assert trial_result["final_source"] == CLEAN_MODULE.strip("\n")
+        hdl_inserts = [
+            e for e in events if e["event"] == "cache_insert" and e["kind"] == "hdl"
+        ]
+        assert trial_result["candidate_count"] == len(hdl_inserts)
+
+
+class GateCountingSimulator:
+    """Counts the gate calls a simulator serves, by gate."""
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def _count(self, gate):
+        with self._lock:
+            self.calls[gate] += 1
+
+    def syntax_test(self, source, problem):
+        self._count("syntax")
+        return self.sim.syntax_test(source, problem)
+
+    def function_test(self, source, problem):
+        self._count("function")
+        return self.sim.function_test(source, problem)
+
+
+class TestGateCalls:
+    @pytest.mark.parametrize(
+        "refine, run_functional, expected",
+        [
+            (False, True, {"function": 35}),
+            (False, False, {"syntax": 30, "function": 5}),
+            (True, True, {"function": 58}),
+            (True, False, {"syntax": 70, "function": 5}),
+        ],
+    )
+    def test_gate_calls_per_trial(self, tmp_path, refine, run_functional, expected):
+        # One trial per toy problem under the progressive rules, with no
+        # verdict memo: every gate call reaches the simulator.  With the
+        # functional gate off, only the final answer is compiled and run,
+        # and without refinement it is evaluated once, not compiled first.
+        config = load_config(PROGRESSIVE_CONFIG)
+        if refine:
+            config = dataclasses.replace(config, enable_sim_refinement=True)
+        sim = GateCountingSimulator(stub_simulator())
+        for problem in load_benchmark(TOY_BENCH).problems:
+            run_trial(
+                problem, config, load_scripted(PROGRESSIVE_RULES), sim,
+                seed=config.random_seed, trial_index=0,
+                trace_path=str(tmp_path / problem.id / "trace.jsonl"),
+                run_functional=run_functional,
+            )
+        assert sim.calls == expected
 
 
 class BarrierBackend:
@@ -493,13 +556,12 @@ class TestScheduler:
         bench = Benchmark(name="one", problems=(make_problem(),))
         config = small_config(layer_width=2, mixture=("Base", "Base"), trials=2)
         run_dir = tmp_path / "run"
-        results = run_benchmark(
+        run_benchmark(
             bench, config, BarrierBackend(), FakeSimulator(), str(run_dir), jobs=1
         )
-        for trial in (0, 1):
-            events = read_trace(str(run_dir / "widget" / str(trial) / "trace.jsonl"))
+        for events in widget_traces(run_dir, 2):
             assert [e for e in events if e["event"] == "agent_error"] == []
-        assert [r.final_verdicts for r in results] == [(True, True)] * 2
+            assert final_verdicts(events) == (True, True)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_agent_tasks_in_flight_stay_under_the_ceiling(self, tmp_path, jobs):
@@ -542,8 +604,10 @@ class TestScheduler:
         config = small_config(layer_width=2, mixture=("Base", "Base"), trials=2)
         backend = PerTrialBackend()
         sim = CrossTrialSimulator(backend)
-        results = run_benchmark(bench, config, backend, sim, str(tmp_path / "run"), jobs=1)
-        assert [r.final_verdicts for r in results] == [(True, True)] * 2
+        run_dir = tmp_path / "run"
+        run_benchmark(bench, config, backend, sim, str(run_dir), jobs=1)
+        for events in widget_traces(run_dir, 2):
+            assert final_verdicts(events) == (True, True)
 
     def test_http_backend_honours_the_run_ceiling(self, tmp_path):
         # jobs x layer_width = 8 is above the 6 the HTTP client once capped
