@@ -309,12 +309,12 @@ def run_twostage_agent(
     layer: int,
     sampling: Sampling,
     tag_prefix: str,
-) -> tuple[str, str, int, list[PromptRecord], list[CheckerRecord]]:
+) -> tuple[str, str, list[PromptRecord], list[CheckerRecord]]:
     """Two-stage generation through an intermediate language.
 
-    Returns (hdl_source, intermediate_source, stage1_rounds_used, prompts,
-    checker_records).  A broken checker downgrades to zero refinement
-    rounds rather than failing the agent.
+    Returns (hdl_source, intermediate_source, prompts, checker_records).
+    A broken checker downgrades to zero refinement rounds rather than
+    failing the agent.
     """
     assert layer >= 2 or (not hdl_refs and not int_refs), "layer 1 receives no references"
     language = PATH_LANGUAGE[spec.path]
@@ -334,7 +334,6 @@ def run_twostage_agent(
     prompts.append(record)
     intermediate = record.extracted_source
 
-    rounds_used = 0
     for round_index in range(1, checker.max_rounds + 1):
         status, diagnostics = checker.run(intermediate)
         checks.append(CheckerRecord(round_index, status, diagnostics))
@@ -356,7 +355,6 @@ def run_twostage_agent(
         )
         prompts.append(record)
         intermediate = record.extracted_source
-        rounds_used += 1
 
     user = spec.templates["stage2"].format(
         description=problem.description,
@@ -367,7 +365,7 @@ def run_twostage_agent(
         backend, "stage2", SYSTEM_PROMPTS["hdl"], user, sampling, tag_prefix, "verilog"
     )
     prompts.append(record)
-    return record.extracted_source, intermediate, rounds_used, prompts, checks
+    return record.extracted_source, intermediate, prompts, checks
 
 
 def gated_evaluation(

@@ -20,7 +20,6 @@ class AgentPath(Enum):
     BASE = "base"
     CPP = "cpp"
     PY = "py"
-    AGGREGATOR = "aggregator"
 
 
 class IntermediateLanguage(Enum):

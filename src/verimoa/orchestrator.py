@@ -135,7 +135,7 @@ def _run_slot(
             )
         else:
             language = PATH_LANGUAGE[spec.path]
-            source, intermediate, _, prompts, checks = run_twostage_agent(
+            source, intermediate, prompts, checks = run_twostage_agent(
                 spec,
                 problem,
                 hdl_refs,

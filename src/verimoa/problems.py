@@ -14,9 +14,12 @@ Run configuration is a single JSON object whose keys mirror RunConfig.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from dataclasses import dataclass, field, replace
+import sys
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .cache import AgentPath
 from .errors import (
@@ -26,7 +29,7 @@ from .errors import (
     MissingFileError,
     SchemaError,
 )
-from .scoring import ScoreConstants, score_constants_from_json
+from .scoring import ScoreConstants
 
 
 # The simulator's names for the candidate and the testbench.
@@ -284,81 +287,61 @@ class RunConfig:
         return tuple(MIXTURE_TAGS[tag] for tag in self.mixture)
 
     def to_json(self) -> dict:
-        return {
-            "proposer_layers": self.proposer_layers,
-            "layer_width": self.layer_width,
-            "mixture": list(self.mixture),
-            "top_n_hdl": self.top_n_hdl,
-            "top_k_intermediate": self.top_k_intermediate,
-            "trials": self.trials,
-            "sampling": {
-                "temperature": self.sampling.temperature,
-                "top_p": self.sampling.top_p,
-            },
-            "enable_sim_refinement": self.enable_sim_refinement,
-            "max_sim_refine_rounds": self.max_sim_refine_rounds,
-            "max_stage1_refine_rounds": self.max_stage1_refine_rounds,
-            "score_constants": self.score_constants.to_json(),
-            "random_seed": self.random_seed,
-        }
+        return {**asdict(self), "mixture": list(self.mixture)}
 
 
-def _expect(obj: dict, key: str, kinds, what: str):
-    value = obj[key]
-    if isinstance(value, bool) and bool not in (
-        kinds if isinstance(kinds, tuple) else (kinds,)
-    ):
-        raise SchemaError("%s: expected %s" % (key, what))
-    if not isinstance(value, kinds):
-        raise SchemaError("%s: expected %s" % (key, what))
-    return value
+@functools.cache
+def _field_types(cls) -> dict[str, object]:
+    """Each field's declared type, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _is_number(value) -> bool:
+    # Rejects bool, NaN, the infinities and ints no float can hold.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _from_json(cls, obj, where: str):
+    """Build dataclass ``cls`` from a JSON object, checking each value
+    against its field's declared type; ``where`` is the dotted path."""
+    if not isinstance(obj, dict):
+        raise SchemaError("%s: expected an object" % where)
+    types = _field_types(cls)
+    unknown = set(obj) - set(types)
+    if unknown:
+        raise SchemaError("%s: unknown field %r" % (where, sorted(unknown)[0]))
+    kwargs = {}
+    for name, value in obj.items():
+        kind, path = types[name], "%s.%s" % (where, name)
+        if is_dataclass(kind):
+            kwargs[name] = _from_json(kind, value, path)
+        elif kind in (int, bool):
+            if type(value) is not kind:
+                what = "an integer" if kind is int else "a boolean"
+                raise SchemaError("%s: expected %s" % (path, what))
+            kwargs[name] = value
+        elif kind is float:
+            if not _is_number(value):
+                raise SchemaError("%s: expected a number" % path)
+            kwargs[name] = float(value)
+        elif kind == tuple[str, ...]:
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise SchemaError("%s: expected a list of strings" % path)
+            kwargs[name] = tuple(value)
+        else:  # Mapping[str, float]
+            if not isinstance(value, dict) or not all(map(_is_number, value.values())):
+                raise SchemaError("%s: expected a map of numbers" % path)
+            kwargs[name] = {k: float(v) for k, v in value.items()}
+    return cls(**kwargs)
 
 
 def config_from_json(obj: object) -> RunConfig:
-    if not isinstance(obj, dict):
-        raise SchemaError("config: expected a JSON object")
-    known = {
-        "proposer_layers", "layer_width", "mixture", "top_n_hdl",
-        "top_k_intermediate", "trials", "sampling", "enable_sim_refinement",
-        "max_sim_refine_rounds", "max_stage1_refine_rounds",
-        "score_constants", "random_seed",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise SchemaError("config: unknown field %r" % sorted(unknown)[0])
-    kwargs: dict = {}
-    for key in (
-        "proposer_layers", "layer_width", "top_n_hdl", "top_k_intermediate",
-        "trials", "max_sim_refine_rounds", "max_stage1_refine_rounds",
-        "random_seed",
-    ):
-        if key in obj:
-            kwargs[key] = _expect(obj, key, int, "an integer")
-    if "mixture" in obj:
-        mixture = _expect(obj, "mixture", list, "a list of agent-type tags")
-        if not all(isinstance(tag, str) for tag in mixture):
-            raise SchemaError("mixture: expected a list of strings")
-        kwargs["mixture"] = tuple(mixture)
-    if "sampling" in obj:
-        sampling = _expect(obj, "sampling", dict, "an object")
-        unknown = set(sampling) - {"temperature", "top_p"}
-        if unknown:
-            raise SchemaError("sampling: unknown field %r" % sorted(unknown)[0])
-        fields = {}
-        for key in ("temperature", "top_p"):
-            if key in sampling:
-                value = sampling[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise SchemaError("sampling.%s: expected a number" % key)
-                fields[key] = float(value)
-        kwargs["sampling"] = Sampling(**fields)
-    if "enable_sim_refinement" in obj:
-        kwargs["enable_sim_refinement"] = _expect(
-            obj, "enable_sim_refinement", bool, "a boolean"
-        )
-    if "score_constants" in obj:
-        kwargs["score_constants"] = score_constants_from_json(obj["score_constants"])
-    config = RunConfig(**kwargs)
+    config = _from_json(RunConfig, obj, "config")
     config.validate()
     return config
 

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Mapping
 
 from .analyzer import Sensitivity, StructuralFacts
-from .errors import InvariantViolationError, SchemaError
+from .errors import InvariantViolationError
 
 # Rule identifiers, grouped by severity class.
 RULE_MULTI_DRIVEN = "multi_driven_signal"
@@ -66,9 +66,12 @@ class ScoreConstants:
     # Multiplier < 1 keeping the syntax-fail ceiling strictly under the
     # functional-fail floor when the cap sums are equal.
     fallback_tighten: float = 0.999
-    rule_weights: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_RULE_WEIGHTS)
-    )
+    rule_weights: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Rules the caller leaves out keep their default weights.
+        weights = {**DEFAULT_RULE_WEIGHTS, **self.rule_weights}
+        object.__setattr__(self, "rule_weights", weights)
 
     def validate(self) -> None:
         caps = (
@@ -106,54 +109,7 @@ class ScoreConstants:
             raise InvariantViolationError("functional-fail floor is negative")
 
     def weight(self, rule: str) -> float:
-        return float(self.rule_weights.get(rule, DEFAULT_RULE_WEIGHTS[rule]))
-
-    def to_json(self) -> dict:
-        return {
-            "q_perfect": self.q_perfect,
-            "q_base": self.q_base,
-            "cap_severe": self.cap_severe,
-            "cap_moderate": self.cap_moderate,
-            "cap_minor": self.cap_minor,
-            "cap_structure": self.cap_structure,
-            "cap_logic": self.cap_logic,
-            "cap_format": self.cap_format,
-            "fallback_tighten": self.fallback_tighten,
-            "rule_weights": dict(sorted(self.rule_weights.items())),
-        }
-
-
-def score_constants_from_json(obj: object) -> ScoreConstants:
-    if not isinstance(obj, dict):
-        raise SchemaError("score_constants: expected an object")
-    known = {
-        "q_perfect", "q_base", "cap_severe", "cap_moderate", "cap_minor",
-        "cap_structure", "cap_logic", "cap_format", "fallback_tighten",
-        "rule_weights",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise SchemaError(
-            "score_constants: unknown field %s" % sorted(unknown)[0]
-        )
-    kwargs: dict = {}
-    for key, value in obj.items():
-        if key == "rule_weights":
-            if not isinstance(value, dict) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in value.values()
-            ):
-                raise SchemaError("score_constants.rule_weights: expected a map of numbers")
-            merged = dict(DEFAULT_RULE_WEIGHTS)
-            merged.update({k: float(v) for k, v in value.items()})
-            kwargs[key] = merged
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError("score_constants.%s: expected a number" % key)
-            kwargs[key] = float(value)
-    constants = ScoreConstants(**kwargs)
-    constants.validate()
-    return constants
+        return float(self.rule_weights[rule])
 
 
 class ScoreBranch(Enum):

@@ -206,12 +206,11 @@ class TestTwoStageAgent:
 
     def test_clean_pass_through(self):
         responses = ["```cpp\nint model() { return 1; }\n```", verilog_reply()]
-        hdl, intermediate, rounds, prompts, checks = self.run(
+        hdl, intermediate, prompts, checks = self.run(
             ListChecker(["pass"]), responses
         )
         assert hdl == CLEAN_MODULE.strip("\n")
         assert intermediate == "int model() { return 1; }"
-        assert rounds == 0
         assert [p.stage for p in prompts] == ["stage1", "stage2"]
         assert checks == [CheckerRecord(1, "pass", "diag line")]
 
@@ -222,8 +221,7 @@ class TestTwoStageAgent:
             verilog_reply(),
         ]
         checker = ListChecker(["fail", "pass"])
-        hdl, intermediate, rounds, prompts, checks = self.run(checker, responses)
-        assert rounds == 1
+        hdl, intermediate, prompts, checks = self.run(checker, responses)
         assert intermediate == "fixed v2"
         assert [p.stage for p in prompts] == ["stage1", "stage1_refine", "stage2"]
         assert [c.status for c in checks] == ["fail", "pass"]
@@ -237,10 +235,9 @@ class TestTwoStageAgent:
             "```cpp\nv0\n```", "```cpp\nv1\n```", "```cpp\nv2\n```",
             verilog_reply(),
         ]
-        _, intermediate, rounds, prompts, checks = self.run(
+        _, intermediate, prompts, checks = self.run(
             ListChecker(["fail", "fail"]), responses
         )
-        assert rounds == 2
         assert intermediate == "v2"
         assert [p.stage for p in prompts] == [
             "stage1", "stage1_refine", "stage1_refine", "stage2",
@@ -248,10 +245,9 @@ class TestTwoStageAgent:
 
     def test_checker_error_downgrades_to_no_refinement(self):
         responses = ["```cpp\nv0\n```", verilog_reply()]
-        _, intermediate, rounds, prompts, checks = self.run(
+        _, intermediate, prompts, checks = self.run(
             ListChecker(["error"]), responses
         )
-        assert rounds == 0
         assert intermediate == "v0"
         assert [p.stage for p in prompts] == ["stage1", "stage2"]
         assert checks[0].status == "error"
@@ -261,24 +257,23 @@ class TestTwoStageAgent:
     ):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
         responses = ["```cpp\nint model();\n```", verilog_reply()]
-        _, _, rounds, prompts, checks = self.run(
+        _, _, prompts, checks = self.run(
             stub_checker(IntermediateLanguage.CPP, max_rounds=2), responses
         )
-        assert rounds == 0
         assert [c.status for c in checks] == ["error"]
         assert [p.stage for p in prompts] == ["stage1", "stage2"]
 
     def test_zero_round_checker_never_runs(self):
         checker = ListChecker([], max_rounds=0)
         responses = ["```cpp\nv0\n```", verilog_reply()]
-        _, _, rounds, _, checks = self.run(checker, responses)
-        assert rounds == 0
+        _, _, prompts, checks = self.run(checker, responses)
+        assert [p.stage for p in prompts] == ["stage1", "stage2"]
         assert checks == []
         assert checker.seen == []
 
     def test_stage_system_prompts_differ(self):
         responses = ["```cpp\nv0\n```", verilog_reply()]
-        _, _, _, prompts, _ = self.run(ListChecker(["pass"]), responses)
+        _, _, prompts, _ = self.run(ListChecker(["pass"]), responses)
         assert prompts[0].system_prompt == SYSTEM_PROMPTS["cpp"]
         assert prompts[-1].system_prompt == SYSTEM_PROMPTS["hdl"]
         assert "C++" in prompts[0].system_prompt
@@ -286,7 +281,7 @@ class TestTwoStageAgent:
     def test_stage2_sees_intermediate_and_hdl_refs(self):
         responses = ["```cpp\nthe model\n```", verilog_reply()]
         refs = [make_entry(1, 1, 0.8, source="module seed; endmodule")]
-        _, _, _, prompts, _ = self.run(
+        _, _, prompts, _ = self.run(
             ListChecker(["pass"]), responses, hdl_refs=refs
         )
         stage2 = prompts[-1].user_prompt

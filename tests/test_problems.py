@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
-from conftest import PROGRESSIVE_CONFIG, TOY_BENCH, make_problem
+from conftest import FIXTURES, PROGRESSIVE_CONFIG, TOY_BENCH, make_problem
 from verimoa.cache import AgentPath
 from verimoa.errors import (
     DuplicateProblemIdError,
@@ -23,6 +24,7 @@ from verimoa.problems import (
     load_problem,
     save_benchmark,
 )
+from verimoa.scoring import ScoreConstants
 
 
 def write_problem(root, pid, meta=None, spec="Build the thing.",
@@ -286,6 +288,36 @@ class TestRunConfig:
             RunConfig(**overrides).validate()
 
 
+# One wrong-typed value per field of RunConfig, Sampling and ScoreConstants.
+WRONG_TYPES = [
+    ({"proposer_layers": True}, "config.proposer_layers"),
+    ({"layer_width": False}, "config.layer_width"),
+    ({"mixture": {"Base": 1}}, "config.mixture"),
+    ({"top_n_hdl": True}, "config.top_n_hdl"),
+    ({"top_k_intermediate": True}, "config.top_k_intermediate"),
+    ({"trials": True}, "config.trials"),
+    ({"sampling": ["temperature"]}, "config.sampling"),
+    ({"enable_sim_refinement": 1}, "config.enable_sim_refinement"),
+    ({"max_sim_refine_rounds": True}, "config.max_sim_refine_rounds"),
+    ({"max_stage1_refine_rounds": False}, "config.max_stage1_refine_rounds"),
+    ({"score_constants": [1.0]}, "config.score_constants"),
+    ({"random_seed": True}, "config.random_seed"),
+    ({"sampling": {"temperature": "hot"}}, "config.sampling.temperature"),
+    ({"sampling": {"top_p": "0.9"}}, "config.sampling.top_p"),
+    *(
+        ({"score_constants": {name: "0.5"}}, "config.score_constants." + name)
+        for name in (
+            "q_perfect", "q_base", "cap_severe", "cap_moderate", "cap_minor",
+            "cap_structure", "cap_logic", "cap_format", "fallback_tighten",
+        )
+    ),
+    (
+        {"score_constants": {"rule_weights": {"overlong_source": True}}},
+        "config.score_constants.rule_weights",
+    ),
+]
+
+
 class TestConfigFromJson:
     def test_empty_object_means_defaults(self):
         assert config_from_json({}) == RunConfig()
@@ -329,6 +361,42 @@ class TestConfigFromJson:
     def test_validation_applies_after_parse(self):
         with pytest.raises(InvariantViolationError):
             config_from_json({"layer_width": 2, "mixture": ["Base"]})
+
+    @pytest.mark.parametrize("blob, path", WRONG_TYPES, ids=[p for _, p in WRONG_TYPES])
+    def test_wrong_type_names_its_path(self, blob, path):
+        with pytest.raises(SchemaError, match="^%s: expected " % path.replace(".", r"\.")):
+            config_from_json(blob)
+
+    def test_wrong_type_table_covers_every_field(self):
+        names = {"config." + f.name for f in dataclasses.fields(RunConfig)}
+        names |= {"config.sampling." + f.name for f in dataclasses.fields(Sampling)}
+        names |= {
+            "config.score_constants." + f.name
+            for f in dataclasses.fields(ScoreConstants)
+        }
+        assert {path for _, path in WRONG_TYPES} == names
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"score_constants": {"rule_weights": {"multi_driven_signal": NaN}}}',
+            '{"sampling": {"temperature": Infinity}}',
+            '{"sampling": {"top_p": -Infinity}}',
+            '{"score_constants": {"cap_severe": NaN}}',
+            '{"score_constants": {"q_perfect": 1%s}}' % ("0" * 400),
+        ],
+        ids=["nan-weight", "inf-temperature", "minus-inf-top-p", "nan-cap", "past-float"],
+    )
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(SchemaError, match="expected a (map of )?number"):
+            config_from_json(json.loads(text))
+
+    def test_full_config_serialises_to_the_golden_bytes(self):
+        config = load_config(os.path.join(FIXTURES, "full.config.json"))
+        with open(os.path.join(FIXTURES, "full.config.golden.json"), encoding="utf-8") as fh:
+            golden = fh.read()
+        assert json.dumps(config.to_json(), indent=2, sort_keys=True) + "\n" == golden
+        assert config_from_json(config.to_json()) == config
 
 
 class TestLoadConfig:

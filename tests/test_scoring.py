@@ -8,6 +8,7 @@ from conftest import FakeSimulator, make_problem, random_facts
 from verimoa.agents import gated_evaluation
 from verimoa.analyzer import AlwaysBlockFacts, Sensitivity, StructuralFacts, extract_facts
 from verimoa.errors import InvariantViolationError, SchemaError
+from verimoa.problems import config_from_json
 from verimoa.scoring import (
     DEFAULT_RULE_WEIGHTS,
     MODERATE_RULES,
@@ -24,7 +25,6 @@ from verimoa.scoring import (
     ScoreBranch,
     ScoreConstants,
     fired_rules,
-    score_constants_from_json,
     score_from_facts,
 )
 
@@ -86,15 +86,16 @@ class TestConstants:
         assert score.value == 0.0
 
     def test_json_round_trip(self):
-        constants = ScoreConstants(rule_weights={RULE_OVERLONG: 0.01})
-        parsed = score_constants_from_json(constants.to_json())
+        blob = {"score_constants": {"rule_weights": {RULE_OVERLONG: 0.01}}}
+        parsed = config_from_json(blob).score_constants
         assert parsed.weight(RULE_OVERLONG) == 0.01
         # Unmentioned rules keep their default weights.
         assert parsed.weight(RULE_MULTI_DRIVEN) == DEFAULT_RULE_WEIGHTS[RULE_MULTI_DRIVEN]
+        assert parsed == ScoreConstants(rule_weights={RULE_OVERLONG: 0.01})
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(SchemaError):
-            score_constants_from_json({"q_typo": 1.0})
+        with pytest.raises(SchemaError, match="config.score_constants: .*q_typo"):
+            config_from_json({"score_constants": {"q_typo": 1.0}})
 
 
 class TestRules:
