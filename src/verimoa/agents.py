@@ -38,6 +38,7 @@ from .errors import (
     VerimoaError,
     WorkspaceError,
 )
+from .memo import VerdictMemo
 from .problems import DesignProblem, Sampling
 from .scoring import QualityScore, ScoreConstants, score_from_facts
 from .simulator import (
@@ -374,6 +375,7 @@ def gated_evaluation(
     sim,
     constants: ScoreConstants,
     run_functional: bool = True,
+    memo: VerdictMemo | None = None,
 ) -> tuple[QualityScore, str]:
     """Run the gates and score; also returns the failing log for feedback.
 
@@ -382,7 +384,8 @@ def gated_evaluation(
     compile decide between the syntax-fail and the functional-fail branch.
     With it off, a compiling candidate scores on the functional-fail branch
     (it cannot claim the perfect score unverified).  Timeouts count as the
-    gate failing; simulator unavailability propagates.
+    gate failing; simulator unavailability propagates.  Structural facts
+    are extracted once per distinct source and memo.
     """
     func = sim.function_test(source, problem) if run_functional else None
     if func is not None and func.phase is SimPhase.RUN:
@@ -397,7 +400,8 @@ def gated_evaluation(
             feedback = "" if func is None else func.log
     # The perfect branch scores without structural facts.
     perfect = syntax_pass and functional_pass
-    facts = None if perfect else extract_facts(source)
+    memo = VerdictMemo() if memo is None else memo
+    facts = None if perfect else memo.get(("facts", source), lambda: extract_facts(source))
     score = score_from_facts(facts, constants, syntax_pass, functional_pass)
     return score, feedback
 
@@ -413,6 +417,7 @@ def sim_refine(
     max_rounds: int,
     tag_prefix: str,
     run_functional: bool = True,
+    memo: VerdictMemo | None = None,
 ) -> tuple[list[RefineRound], list[PromptRecord]]:
     """Evaluate a draft and iterate on simulator feedback.
 
@@ -424,7 +429,9 @@ def sim_refine(
     score at all.
     """
     prompts: list[PromptRecord] = []
-    score, feedback = gated_evaluation(source, problem, sim, constants, run_functional)
+    score, feedback = gated_evaluation(
+        source, problem, sim, constants, run_functional, memo
+    )
     rounds = [RefineRound(0, source, score)]
     for round_index in range(1, max_rounds + 1):
         if rounds[-1].score.syntax_pass and rounds[-1].score.functional_pass:
@@ -451,7 +458,7 @@ def sim_refine(
         prompts.append(record)
         try:
             score, feedback = gated_evaluation(
-                record.extracted_source, problem, sim, constants, run_functional
+                record.extracted_source, problem, sim, constants, run_functional, memo
             )
         except (SimulatorUnavailableError, WorkspaceError):
             break

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptTraceError, DomainError, MissingFileError
+from .memo import VerdictMemo
 
 SIMILARITY_KIND = "cosine/char-3gram-tf"
 
@@ -51,36 +52,51 @@ def pass_at_k(n: int, c: int, k: int) -> float:
 _NGRAM = 3
 
 
-def _ngram_counts(text: str) -> Counter:
+def _profile(text: str) -> tuple[Counter, float]:
+    """A text's 3-gram counts after whitespace normalization, and their norm."""
     normalized = " ".join(text.split())
-    return Counter(
+    counts = Counter(
         normalized[i : i + _NGRAM] for i in range(len(normalized) - _NGRAM + 1)
     )
+    return counts, math.sqrt(sum(v * v for v in counts.values()))
 
 
-def pairwise_similarity(texts: list[str]) -> np.ndarray:
+def _cosine(p: tuple[Counter, float], q: tuple[Counter, float]) -> float:
+    (a, norm_a), (b, norm_b) = p, q
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum(count * b[gram] for gram, count in a.items())
+    return dot / (norm_a * norm_b)
+
+
+def pairwise_similarity(texts: list[str], memo: VerdictMemo | None = None) -> np.ndarray:
     """Symmetric PSD similarity matrix with unit diagonal.
 
     Degenerate texts (no 3-grams after normalization) count as identical
-    to each other and orthogonal to everything else.
+    to each other and orthogonal to everything else.  Each distinct text
+    is profiled once and each distinct pair's cosine computed once per
+    memo; run_benchmark passes its run's memo, otherwise the call gets one
+    of its own.  A cosine does not depend on the pair's order.
     """
-    vectors = [_ngram_counts(t) for t in texts]
-    norms = [math.sqrt(sum(v * v for v in vec.values())) for vec in vectors]
+    memo = VerdictMemo() if memo is None else memo
+
+    def profile(text: str) -> tuple[Counter, float]:
+        return memo.get(("profile", text), lambda: _profile(text))
+
+    def cosine(a: str, b: str) -> float:
+        if b < a:
+            a, b = b, a
+        return memo.get(("cosine", a, b), lambda: _cosine(profile(a), profile(b)))
+
     m = len(texts)
     K = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
-            a, b = vectors[i], vectors[j]
-            if not a and not b:
-                sim = 1.0
-            elif not a or not b:
-                sim = 0.0
-            else:
-                if len(b) < len(a):
-                    a, b = b, a
-                dot = sum(count * b[gram] for gram, count in a.items())
-                sim = dot / (norms[i] * norms[j])
-            K[i, j] = K[j, i] = sim
+            K[i, j] = K[j, i] = cosine(texts[i], texts[j])
     return K
 
 
@@ -95,10 +111,10 @@ def vendi_from_similarity(K) -> float:
     return float(np.exp(entropy))
 
 
-def vendi_score(candidates: list[str]) -> float:
+def vendi_score(candidates: list[str], memo: VerdictMemo | None = None) -> float:
     if not candidates:
         raise DomainError("vendi_score needs at least one candidate")
-    return vendi_from_similarity(pairwise_similarity(candidates))
+    return vendi_from_similarity(pairwise_similarity(candidates, memo))
 
 
 # -- report ----------------------------------------------------------------

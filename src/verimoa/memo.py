@@ -1,34 +1,30 @@
-"""Per-run memo of simulator verdicts and checker results.
+"""Per-run memo of everything derived from a candidate's text.
 
 The quality-guided cache keeps every candidate, and layers, refinement
-rounds and the aggregator hand the same source to the gates again and
-again.  ``run_benchmark`` makes one memo per call and puts it in front of
-the simulator and the checkers it was handed, so each distinct candidate
-is compiled, run and checked once per run.
+rounds, TopN windows and the aggregator hand the same source back again
+and again.  ``run_benchmark`` makes one memo per call.  It puts the memo
+in front of the simulator and the checkers it was handed, and passes it
+down to scoring and to the Vendi score, so each distinct candidate is
+compiled, run, checked and analysed once per run, each distinct TopN
+source gets one 3-gram profile and each distinct pair one cosine.
 
-Keys are sha256 digests of everything a result depends on within one run:
+Keys are plain tuples of everything a result depends on within one run:
 the gate, the problem id, its testbench and support files, and the
-source; for checkers, the language, the check command and the source.
-Lookups are single-flight: a thread asking for a key that another thread
-is computing waits for that result instead of spawning its own process.
-Timed-out verdicts, failed checker launches and raised errors are never
-stored, so the next caller computes them afresh, as without a memo.
+source; for checkers, the language, the check command and the source;
+for derived values, a tag ("facts", "profile", "cosine") and the
+source(s).  Lookups are single-flight: a thread asking for a key that
+another thread is computing waits for that result instead of computing
+its own.  Timed-out verdicts, failed checker launches and raised errors
+are never stored, so the next caller computes them afresh, as without a
+memo.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
-from typing import Callable, TypeVar
+from typing import Callable, Hashable, TypeVar
 
 T = TypeVar("T")
-
-
-def _digest(*parts) -> str:
-    return hashlib.sha256(
-        json.dumps(parts, ensure_ascii=True).encode("ascii")
-    ).hexdigest()
 
 
 class VerdictMemo:
@@ -36,15 +32,17 @@ class VerdictMemo:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._done: dict[str, object] = {}
-        self._pending: dict[str, threading.Event] = {}
+        self._done: dict[Hashable, object] = {}
+        self._pending: dict[Hashable, threading.Event] = {}
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: str, compute: Callable[[], T], keep: Callable[[T], bool]) -> T:
+    def get(
+        self, key: Hashable, compute: Callable[[], T], keep: Callable[[T], bool] | None = None
+    ) -> T:
         """The stored result for key, or compute() once across threads.
 
-        A result is stored only when keep(result) holds.  A waiter whose
+        A result is stored unless keep(result) is false.  A waiter whose
         owner raised, or got a result not worth keeping, computes anew.
         """
         while True:
@@ -60,7 +58,7 @@ class VerdictMemo:
             pending.wait()
         try:
             result = compute()
-            if keep(result):
+            if keep is None or keep(result):
                 with self._lock:
                     self._done[key] = result
             return result
@@ -85,11 +83,11 @@ def _keep_verdict(verdict) -> bool:
 
 class MemoSimulator(_Wrapper):
     def _gate(self, method: str, source: str, problem):
-        key = _digest(
+        key = (
             method,
             problem.id,
             problem.testbench_source,
-            sorted(getattr(problem, "support_files", {}).items()),
+            tuple(sorted(getattr(problem, "support_files", {}).items())),
             source,
         )
         gate = getattr(self._inner, method)
@@ -105,7 +103,7 @@ class MemoSimulator(_Wrapper):
 class MemoChecker(_Wrapper):
     def run(self, source: str) -> tuple[str, str]:
         inner = self._inner
-        key = _digest(inner.language.value, inner.check_cmd, source)
+        key = (inner.language.value, inner.check_cmd, source)
 
         def keep(result: tuple[str, str]) -> bool:
             status, diagnostics = result

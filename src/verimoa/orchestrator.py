@@ -65,15 +65,18 @@ from .problems import Benchmark, DesignProblem, RunConfig
 
 
 class TraceWriter:
-    """One JSONL trace per trial, flushed per event for partial-run analysis."""
+    """One JSONL trace per trial.  run_trial flushes it after trial_start and
+    after each layer_stats, and close flushes the rest, so a running trial's
+    finished layers are on disk in whole lines."""
 
     def __init__(self, path: str) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         self._fh = open(path, "w", encoding="utf-8")
 
     def write(self, event: dict) -> None:
-        self._fh.write(json.dumps(event, sort_keys=True, ensure_ascii=True))
-        self._fh.write("\n")
+        self._fh.write(json.dumps(event, sort_keys=True, ensure_ascii=True) + "\n")
+
+    def flush(self) -> None:
         self._fh.flush()
 
     def close(self) -> None:
@@ -124,6 +127,7 @@ def _run_slot(
     checkers,
     tag_prefix: str,
     run_functional: bool,
+    memo: VerdictMemo,
 ) -> _SlotOutcome:
     prompts: list[PromptRecord] = []
     checks: list[CheckerRecord] = []
@@ -160,6 +164,7 @@ def _run_slot(
             max_rounds,
             tag_prefix,
             run_functional,
+            memo,
         )
         prompts.extend(refine_prompts)
         return _SlotOutcome(spec.slot, spec.path, prompts, checks, rounds, intermediate)
@@ -182,10 +187,12 @@ def run_trial(
     templates: dict[str, dict[str, str]] | None = None,
     checkers: dict[IntermediateLanguage, IntermediateChecker] | None = None,
     run_functional: bool = True,
+    memo: VerdictMemo | None = None,
 ) -> None:
     """One full pipeline episode for one problem.  Its trace ends in
     trial_result, or in trial_error (a non-pass) when no candidate survives
-    to aggregation; nothing is returned.
+    to aggregation; nothing is returned.  Structural facts and Vendi
+    profiles are kept in memo (run_benchmark's), or in the trial's own.
 
     The slots of each layer run on the trial's own pool of layer_width
     workers; this thread writes the trace in slot order at each barrier,
@@ -195,6 +202,7 @@ def run_trial(
     templates = templates or load_templates()
     if checkers is None:
         checkers = _stub_checkers(config)
+    memo = VerdictMemo() if memo is None else memo
 
     specs = [
         AgentSpec(path=path, slot=slot, templates=templates[path.value])
@@ -213,6 +221,7 @@ def run_trial(
                 "seed": seed,
             }
         )
+        writer.flush()
         for layer in range(1, config.proposer_layers + 1):
             hdl_refs = cache.top_n_hdl(layer, config.top_n_hdl)
             int_refs_by_language = {
@@ -233,6 +242,7 @@ def run_trial(
                     checkers,
                     "%s/t%d/L%d/S%d" % (problem.id, trial_index, layer, spec.slot),
                     run_functional,
+                    memo,
                 )
                 for spec in specs
             ]
@@ -292,7 +302,8 @@ def run_trial(
                                 "score": entry.score,
                             }
                         )
-            per_layer.append(_layer_stats(cache, layer, config.top_n_hdl, writer))
+            per_layer.append(_layer_stats(cache, layer, config.top_n_hdl, writer, memo))
+            writer.flush()
 
         agg_layer = config.proposer_layers + 1
         refs = cache.top_n_hdl(agg_layer, config.top_n_hdl)
@@ -331,6 +342,7 @@ def run_trial(
             max_rounds,
             agg_tag,
             functional_gate,
+            memo,
         )
         for record in refine_prompts:
             writer.write(_llm_call_event(agg_layer, 1, record))
@@ -338,7 +350,7 @@ def run_trial(
         final_score = chosen.score
         if not functional_gate:
             final_score, _ = gated_evaluation(
-                chosen.source, problem, sim, config.score_constants, True
+                chosen.source, problem, sim, config.score_constants, True, memo
             )
         writer.write(
             {
@@ -357,7 +369,9 @@ def run_trial(
         pool.shutdown()
 
 
-def _layer_stats(cache: GlobalCache, layer: int, n: int, writer: TraceWriter) -> dict:
+def _layer_stats(
+    cache: GlobalCache, layer: int, n: int, writer: TraceWriter, memo: VerdictMemo
+) -> dict:
     """Write the layer_stats event of the TopN window the next layer sees;
     returns its {layer, min_top_n, mean_top_n, vendi_top_n}, all None when
     the window is empty."""
@@ -365,7 +379,7 @@ def _layer_stats(cache: GlobalCache, layer: int, n: int, writer: TraceWriter) ->
     stats = {"layer": layer, "min_top_n": None, "mean_top_n": None, "vendi_top_n": None}
     if window:
         stats["min_top_n"], stats["mean_top_n"] = cache.layer_quality_stats(layer, n)
-        stats["vendi_top_n"] = vendi_score([e.source for e in window])
+        stats["vendi_top_n"] = vendi_score([e.source for e in window], memo)
     writer.write(
         {
             "event": "layer_stats",
@@ -420,8 +434,9 @@ def run_benchmark(
     seats, the most LLM requests in flight across all trials; the
     simulator keeps its own gate of one evaluation per CPU, and the checkers
     have no ceiling of their own.  The simulator and the checkers are put
-    behind one VerdictMemo for this call, so each distinct candidate is
-    evaluated once per run.  Nothing is returned: a trial without candidates
+    behind one VerdictMemo for this call, which also keeps structural facts
+    and Vendi profiles, so each distinct candidate is evaluated and analysed
+    once per run.  Nothing is returned: a trial without candidates
     ends its trace in trial_error, a non-pass.  The first error a trial
     raises (an AuthError, say) cancels the queued trials and is re-raised.
     """
@@ -451,6 +466,7 @@ def run_benchmark(
                 templates=templates,
                 checkers=checkers,
                 run_functional=run_functional,
+                memo=memo,
             )
             for problem in benchmark.problems
             for trial in range(config.trials)

@@ -223,6 +223,8 @@ def save_benchmark(benchmark: Benchmark, root_path: str) -> None:
 # -- run configuration ----------------------------------------------------
 
 MIXTURE_TAGS = {"Base": AgentPath.BASE, "Cpp": AgentPath.CPP, "Py": AgentPath.PY}
+# Each slot is a thread per running trial; every shipped config uses <= 6.
+MAX_LAYER_WIDTH = 1000
 
 
 def default_mixture(layer_width: int) -> tuple[str, ...]:
@@ -253,14 +255,15 @@ class RunConfig:
     random_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.mixture:
+        # An out-of-range width gets no default mixture; validate() names it.
+        if not self.mixture and 1 <= self.layer_width <= MAX_LAYER_WIDTH:
             object.__setattr__(self, "mixture", default_mixture(self.layer_width))
 
     def validate(self) -> None:
         if self.proposer_layers < 1:
             raise InvariantViolationError("proposer_layers must be >= 1")
-        if self.layer_width < 1:
-            raise InvariantViolationError("layer_width must be >= 1")
+        if not 1 <= self.layer_width <= MAX_LAYER_WIDTH:
+            raise InvariantViolationError("layer_width must be in 1..%d" % MAX_LAYER_WIDTH)
         if len(self.mixture) != self.layer_width:
             raise InvariantViolationError(
                 "mixture length %d must equal layer_width %d"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import os
+import select
 import shlex
 import shutil
 import signal
@@ -116,6 +117,7 @@ def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, by
     checker's shell started die with it.  A timeout raises
     subprocess.TimeoutExpired holding the output read so far.  Without
     the key set, the command inherits the environment as it is, uncopied.
+    The child is reaped as soon as it exits (see _read_until_exit).
     """
     env = None
     if API_KEY_ENV in os.environ:
@@ -129,15 +131,50 @@ def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, by
         start_new_session=True,
     ) as proc:
         try:
-            output, _ = proc.communicate(timeout=timeout_s)
-        except BaseException:
+            output = _read_until_exit(proc, timeout_s)
+            proc.wait()
+        except BaseException as exc:
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             proc.wait()
+            if isinstance(exc, subprocess.TimeoutExpired) and exc.output is None:
+                # communicate() timed out past EOF; reaped, it returns what it read
+                exc.output = proc.communicate()[0] if proc.stdout.closed else b""
             raise
         return proc.returncode, output
+
+
+def _read_until_exit(proc: subprocess.Popen, timeout_s: float) -> bytes:
+    """The child's output once its pipe is closed and it has exited.  The
+    pipe and a pidfd of the child are polled together, so the child is
+    reaped as soon as it exits, not after communicate(timeout)'s sleep-poll,
+    which is the fallback where os.pidfd_open is missing or fails."""
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        return proc.communicate(timeout=timeout_s)[0]
+    try:
+        out, chunks = proc.stdout.fileno(), []
+        deadline = time.monotonic() + timeout_s
+        poller = select.poll()
+        open_fds = {out, pidfd}
+        for fd in open_fds:
+            poller.register(fd, select.POLLIN)
+        while open_fds:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(proc.args, timeout_s, b"".join(chunks))
+            for fd, _ in poller.poll(remaining * 1000):
+                data = os.read(out, 32768) if fd == out else b""
+                chunks.append(data)
+                if not data:  # EOF, or the child exited
+                    poller.unregister(fd)
+                    open_fds.discard(fd)
+    finally:
+        os.close(pidfd)
+    return b"".join(chunks)
 
 
 def _remove_all(workspaces: list[str]) -> None:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from verimoa.harness import (
     vendi_from_similarity,
     vendi_score,
 )
+from verimoa.memo import VerdictMemo
 
 
 class TestPassAtK:
@@ -97,6 +99,72 @@ class TestSimilarity:
                  for i, op in enumerate(["&", "|", "^", "&", "~^"])]
         K = pairwise_similarity(texts)
         assert np.linalg.eigvalsh(K).min() > -1e-9
+
+
+def reference_similarity(texts):
+    """The kernel written out once more, without any memo: cosine of the
+    3-gram counts of whitespace-normalized text, pair by pair in list order."""
+    def grams(text):
+        normalized = " ".join(text.split())
+        return Counter(normalized[i : i + 3] for i in range(len(normalized) - 2))
+
+    vectors = [grams(t) for t in texts]
+    norms = [math.sqrt(sum(v * v for v in vec.values())) for vec in vectors]
+    K = np.eye(len(texts))
+    for i in range(len(texts)):
+        for j in range(i + 1, len(texts)):
+            a, b = vectors[i], vectors[j]
+            if not a and not b:
+                sim = 1.0
+            elif not a or not b:
+                sim = 0.0
+            else:
+                sim = sum(count * b[gram] for gram, count in a.items()) / (norms[i] * norms[j])
+            K[i, j] = K[j, i] = sim
+    return K
+
+
+# Short texts over a small alphabet share many 3-grams; whitespace-only and
+# under-three-character texts have none.
+SIMILARITY_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(["", " ", "\n\t  ", "ab", "a b", "abc", "abcabc"]),
+        st.text(alphabet="ab \n", max_size=16),
+        st.text(max_size=40),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestProfiledSimilarity:
+    @given(texts=SIMILARITY_TEXTS, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_formula_bit_for_bit(self, texts, data):
+        texts = texts + data.draw(st.lists(st.sampled_from(texts), max_size=4))
+        expected = reference_similarity(texts).tobytes()
+        assert pairwise_similarity(texts).tobytes() == expected
+        # A memo that already holds every profile and every pair, computed
+        # from the reversed list, gives the same bits.
+        memo = VerdictMemo()
+        reversed_texts = texts[::-1]
+        assert (pairwise_similarity(reversed_texts, memo).tobytes()
+                == reference_similarity(reversed_texts).tobytes())
+        assert pairwise_similarity(texts, memo).tobytes() == expected
+
+    def test_each_distinct_text_and_pair_is_computed_once(self):
+        memo = VerdictMemo()
+        window = ["module a;", "module b;", "module a;"]
+        first = vendi_score(window, memo)
+        # Computed: the profiles of a and b and the pairs (a, b) and (a, a).
+        assert memo.misses == 4
+        assert vendi_score(window[::-1], memo) == first
+        assert memo.misses == 4
+
+    def test_vendi_score_of_a_list_keeps_its_value(self):
+        texts = ["aaaa", "aaaa", "bbbb"]
+        expected = vendi_from_similarity(reference_similarity(texts))
+        assert vendi_score(texts) == expected
 
 
 class TestVendi:

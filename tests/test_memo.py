@@ -15,6 +15,7 @@ from conftest import (
     FakeSimulator,
     make_problem,
 )
+from verimoa import agents
 from verimoa.agents import stub_checker
 from verimoa.backends import load_scripted
 from verimoa.cache import IntermediateLanguage
@@ -57,12 +58,23 @@ class TestRunBenchmark:
         run_progressive(tmp_path / "run", jobs)
         assert spawns[0] == 18
 
-    def test_nothing_is_kept_across_runs(self, tmp_path, spawns):
+    def test_nothing_is_kept_across_runs(self, tmp_path, spawns, monkeypatch):
+        # Each run makes its own 18 spawns and extracts the facts of its own
+        # 5 distinct non-perfect sources, whatever the runs before it did.
+        facts_calls = [0]
+        extract_facts = agents.extract_facts
+
+        def counting(source):
+            facts_calls[0] += 1
+            return extract_facts(source)
+
+        monkeypatch.setattr(agents, "extract_facts", counting)
         sim = stub_simulator()
-        run_progressive(tmp_path / "a", 2, sim)
-        first = spawns[0]
-        run_progressive(tmp_path / "b", 2, sim)
-        assert spawns[0] == 2 * first == 36
+        for jobs in (1, 4):
+            for name in ("a", "b"):
+                spawns[0] = facts_calls[0] = 0
+                run_progressive(tmp_path / ("%s%d" % (name, jobs)), jobs, sim)
+                assert (spawns[0], facts_calls[0]) == (18, 5), jobs
 
 
 class TestMemoSimulator:

@@ -130,6 +130,14 @@ class TestEventOrder:
         ]
         assert all(i > stats_1 for i in layer2_events)
 
+    def test_finished_layers_are_on_disk_when_the_next_layer_asks(self, tmp_path):
+        backend = LayerTwoPeekBackend(str(tmp_path / "trace.jsonl"))
+        events = run_one(tmp_path, backend=backend)
+        assert backend.seen.endswith("\n")
+        seen = [json.loads(line) for line in backend.seen.splitlines()]
+        stats_1 = next(i for i, e in enumerate(events) if e["event"] == "layer_stats")
+        assert seen == events[: stats_1 + 1]
+
     def test_no_timing_fields_in_trace(self, tmp_path):
         events = run_one(tmp_path)
         keys = {key for event in events for key in event}
@@ -414,6 +422,25 @@ class TestGateCalls:
                 run_functional=run_functional,
             )
         assert sim.calls == expected
+
+
+class LayerTwoPeekBackend:
+    """Reads the trial's trace when the first layer-2 request arrives."""
+
+    backend_id = "peek"
+
+    def __init__(self, trace_path: str) -> None:
+        self.inner = happy_backend()
+        self.trace_path = trace_path
+        self.seen: str | None = None
+        self._lock = threading.Lock()
+
+    def generate(self, request):
+        with self._lock:
+            if self.seen is None and "/L2/" in request.request_tag:
+                with open(self.trace_path, encoding="utf-8") as fh:
+                    self.seen = fh.read()
+        return self.inner.generate(request)
 
 
 class BarrierBackend:

@@ -362,6 +362,12 @@ class TestConfigFromJson:
         with pytest.raises(InvariantViolationError):
             config_from_json({"layer_width": 2, "mixture": ["Base"]})
 
+    @pytest.mark.parametrize("width", [10**400, 1001], ids=["400-digits", "1001"])
+    def test_layer_width_beyond_the_cap_is_rejected(self, width):
+        # Range-checked before any default mixture is built from it.
+        with pytest.raises(InvariantViolationError, match="layer_width must be in 1..1000"):
+            config_from_json({"layer_width": width})
+
     @pytest.mark.parametrize("blob, path", WRONG_TYPES, ids=[p for _, p in WRONG_TYPES])
     def test_wrong_type_names_its_path(self, blob, path):
         with pytest.raises(SchemaError, match="^%s: expected " % path.replace(".", r"\.")):

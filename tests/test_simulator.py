@@ -1,3 +1,4 @@
+import errno
 import os
 import shlex
 import subprocess
@@ -477,6 +478,78 @@ def test_the_environment_reaches_the_command_without_the_key(tmp_path, monkeypat
     script = 'echo "canary=${VERIMOA_CANARY-ABSENT} key=${VERIMOA_API_KEY-ABSENT}"'
     code, output = run_in_session(["sh", "-c", script], str(tmp_path), 10.0)
     assert (code, output) == (0, b"canary=canary-value key=ABSENT\n")
+
+
+# Closes its output at once, then lives on for a while.
+QUIET_TAIL = "echo hi; exec >&- 2>&-; sleep %s"
+
+
+class TestRunInSession:
+    def test_child_is_reaped_without_a_sleep_poll(self, tmp_path, monkeypatch):
+        sleeps = []
+        sleep = time.sleep
+        monkeypatch.setattr(time, "sleep", lambda s: (sleeps.append(s), sleep(s)))
+        code, output = run_in_session(["sh", "-c", QUIET_TAIL % 0.05], str(tmp_path), 10.0)
+        assert (code, output) == (0, b"hi\n")
+        assert sleeps == []
+
+    def test_output_of_a_grandchild_is_read_to_the_end(self, tmp_path):
+        script = "(sleep 0.2; echo late) & echo early; exit 3"
+        code, output = run_in_session(["sh", "-c", script], str(tmp_path), 10.0)
+        assert (code, output) == (3, b"early\nlate\n")
+
+    @pytest.mark.parametrize("script", [QUIET_TAIL % 3, "echo hi; sleep 3"],
+                             ids=["closed-pipe", "open-pipe"])
+    def test_timeout_keeps_the_output_read_so_far(self, tmp_path, script):
+        with pytest.raises(subprocess.TimeoutExpired) as exc:
+            run_in_session(["sh", "-c", script], str(tmp_path), 0.3)
+        assert exc.value.output == b"hi\n"
+
+    def test_simulator_log_keeps_the_output_before_a_timeout(self, tmp_path):
+        config = SimulatorConfig(
+            compile_cmd="sh -c %s {sources} {out}" % shlex.quote(QUIET_TAIL % 3),
+            run_cmd="true {out}",
+            workspace_root=str(tmp_path),
+        )
+        problem = make_problem(timeout_ms=300)
+        verdict = ExternalSimulator(config).syntax_test(CLEAN_MODULE, problem)
+        assert verdict.timed_out
+        assert verdict.log == "hi\n\n[timeout after 300 ms]"
+
+
+class TestRunInSessionWithoutPidfd:
+    """Where os.pidfd_open is missing or fails, communicate() does the wait."""
+
+    @pytest.fixture(params=["missing", "failing"])
+    def communicates(self, request, monkeypatch):
+        if request.param == "missing":
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
+        else:
+            def fail(pid, flags=0):
+                raise OSError(errno.ENOSYS, "Function not implemented")
+            monkeypatch.setattr(os, "pidfd_open", fail)
+        calls = []
+        communicate = subprocess.Popen.communicate
+
+        def counting(proc, *args, **kwargs):
+            calls.append(kwargs.get("timeout"))
+            return communicate(proc, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", counting)
+        return calls
+
+    def test_runs_to_the_end(self, tmp_path, communicates):
+        script = QUIET_TAIL % 0.05 + "; exit 3"
+        assert run_in_session(["sh", "-c", script], str(tmp_path), 10.0) == (3, b"hi\n")
+        assert communicates == [10.0]
+
+    @pytest.mark.parametrize("script", [QUIET_TAIL % 3, "echo hi; sleep 3"],
+                             ids=["closed-pipe", "open-pipe"])
+    def test_timeout_keeps_the_output_read_so_far(self, tmp_path, communicates, script):
+        with pytest.raises(subprocess.TimeoutExpired) as exc:
+            run_in_session(["sh", "-c", script], str(tmp_path), 0.3)
+        assert exc.value.output == b"hi\n"
+        assert communicates[0] == 0.3
 
 
 class TestSimcheck:
