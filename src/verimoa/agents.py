@@ -384,8 +384,8 @@ def gated_evaluation(
     compile decide between the syntax-fail and the functional-fail branch.
     With it off, a compiling candidate scores on the functional-fail branch
     (it cannot claim the perfect score unverified).  Timeouts count as the
-    gate failing; simulator unavailability propagates.  Structural facts
-    are extracted once per distinct source and memo.
+    gate failing; simulator unavailability propagates.  With a memo,
+    structural facts are extracted once per distinct source in it.
     """
     func = sim.function_test(source, problem) if run_functional else None
     if func is not None and func.phase is SimPhase.RUN:
@@ -400,8 +400,12 @@ def gated_evaluation(
             feedback = "" if func is None else func.log
     # The perfect branch scores without structural facts.
     perfect = syntax_pass and functional_pass
-    memo = VerdictMemo() if memo is None else memo
-    facts = None if perfect else memo.get(("facts", source), lambda: extract_facts(source))
+    if perfect:
+        facts = None
+    elif memo is None:
+        facts = extract_facts(source)
+    else:
+        facts = memo.get(("facts", source), lambda: extract_facts(source))
     score = score_from_facts(facts, constants, syntax_pass, functional_pass)
     return score, feedback
 
@@ -417,7 +421,8 @@ def sim_refine(
     max_rounds: int,
     tag_prefix: str,
     run_functional: bool = True,
-    memo: VerdictMemo | None = None,
+    *,
+    memo: VerdictMemo,
 ) -> tuple[list[RefineRound], list[PromptRecord]]:
     """Evaluate a draft and iterate on simulator feedback.
 
@@ -429,9 +434,7 @@ def sim_refine(
     score at all.
     """
     prompts: list[PromptRecord] = []
-    score, feedback = gated_evaluation(
-        source, problem, sim, constants, run_functional, memo
-    )
+    score, feedback = gated_evaluation(source, problem, sim, constants, run_functional, memo)
     rounds = [RefineRound(0, source, score)]
     for round_index in range(1, max_rounds + 1):
         if rounds[-1].score.syntax_pass and rounds[-1].score.functional_pass:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptTraceError, DomainError, MissingFileError
-from .memo import VerdictMemo
 
 SIMILARITY_KIND = "cosine/char-3gram-tf"
 
@@ -61,8 +60,7 @@ def _profile(text: str) -> tuple[Counter, float]:
     return counts, math.sqrt(sum(v * v for v in counts.values()))
 
 
-def _cosine(p: tuple[Counter, float], q: tuple[Counter, float]) -> float:
-    (a, norm_a), (b, norm_b) = p, q
+def _cosine(a: Counter, norm_a: float, b: Counter, norm_b: float) -> float:
     if not a and not b:
         return 1.0
     if not a or not b:
@@ -73,30 +71,26 @@ def _cosine(p: tuple[Counter, float], q: tuple[Counter, float]) -> float:
     return dot / (norm_a * norm_b)
 
 
-def pairwise_similarity(texts: list[str], memo: VerdictMemo | None = None) -> np.ndarray:
+def pairwise_similarity(texts: list[str], known: dict | None = None) -> np.ndarray:
     """Symmetric PSD similarity matrix with unit diagonal.
 
     Degenerate texts (no 3-grams after normalization) count as identical
-    to each other and orthogonal to everything else.  Each distinct text
-    is profiled once and each distinct pair's cosine computed once per
-    memo; run_benchmark passes its run's memo, otherwise the call gets one
-    of its own.  A cosine does not depend on the pair's order.
+    to each other and orthogonal to everything else.  known holds profiles
+    by text and cosines by sorted (text, text) pair, so each is computed
+    once per known; run_trial passes one per trial.
     """
-    memo = VerdictMemo() if memo is None else memo
-
-    def profile(text: str) -> tuple[Counter, float]:
-        return memo.get(("profile", text), lambda: _profile(text))
-
-    def cosine(a: str, b: str) -> float:
-        if b < a:
-            a, b = b, a
-        return memo.get(("cosine", a, b), lambda: _cosine(profile(a), profile(b)))
-
+    known = {} if known is None else known
+    for text in texts:
+        if text not in known:
+            known[text] = _profile(text)
     m = len(texts)
     K = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
-            K[i, j] = K[j, i] = cosine(texts[i], texts[j])
+            pair = tuple(sorted((texts[i], texts[j])))
+            if pair not in known:
+                known[pair] = _cosine(*known[pair[0]], *known[pair[1]])
+            K[i, j] = K[j, i] = known[pair]
     return K
 
 
@@ -111,10 +105,10 @@ def vendi_from_similarity(K) -> float:
     return float(np.exp(entropy))
 
 
-def vendi_score(candidates: list[str], memo: VerdictMemo | None = None) -> float:
+def vendi_score(candidates: list[str], known: dict | None = None) -> float:
     if not candidates:
         raise DomainError("vendi_score needs at least one candidate")
-    return vendi_from_similarity(pairwise_similarity(candidates, memo))
+    return vendi_from_similarity(pairwise_similarity(candidates, known))
 
 
 # -- report ----------------------------------------------------------------

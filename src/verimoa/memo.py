@@ -1,22 +1,19 @@
-"""Per-run memo of everything derived from a candidate's text.
+"""Per-run memo of the verdicts and facts derived from a candidate's text.
 
 The quality-guided cache keeps every candidate, and layers, refinement
-rounds, TopN windows and the aggregator hand the same source back again
-and again.  ``run_benchmark`` makes one memo per call.  It puts the memo
-in front of the simulator and the checkers it was handed, and passes it
-down to scoring and to the Vendi score, so each distinct candidate is
-compiled, run, checked and analysed once per run, each distinct TopN
-source gets one 3-gram profile and each distinct pair one cosine.
+rounds and the aggregator hand the same source back again and again.
+``run_benchmark`` makes one memo per call, puts it in front of the
+simulator and the checkers it was handed and passes it to scoring, so
+each distinct candidate is compiled, run, checked and analysed once per run.
 
 Keys are plain tuples of everything a result depends on within one run:
 the gate, the problem id, its testbench and support files, and the
 source; for checkers, the language, the check command and the source;
-for derived values, a tag ("facts", "profile", "cosine") and the
-source(s).  Lookups are single-flight: a thread asking for a key that
-another thread is computing waits for that result instead of computing
-its own.  Timed-out verdicts, failed checker launches and raised errors
-are never stored, so the next caller computes them afresh, as without a
-memo.
+for structural facts, "facts" and the source.  Lookups are single-flight:
+a thread asking for a key that another thread is computing waits for that
+result instead of computing its own.  Timed-out verdicts, failed checker
+launches and raised errors are never stored, so the next caller computes
+them afresh, as without a memo.
 """
 
 from __future__ import annotations
@@ -28,7 +25,8 @@ T = TypeVar("T")
 
 
 class VerdictMemo:
-    """Results by key for one run; `hits` and `misses` count the lookups."""
+    """Simulator verdicts, checker results and structural facts by key for
+    one run; `hits` and `misses` count the lookups."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

@@ -65,9 +65,9 @@ from .problems import Benchmark, DesignProblem, RunConfig
 
 
 class TraceWriter:
-    """One JSONL trace per trial.  run_trial flushes it after trial_start and
-    after each layer_stats, and close flushes the rest, so a running trial's
-    finished layers are on disk in whole lines."""
+    """One JSONL trace per trial.  run_trial flushes it after trial_start,
+    after each layer_stats and after aggregate, and close flushes the rest,
+    so a running trial's finished bursts are on disk in whole lines."""
 
     def __init__(self, path: str) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -164,7 +164,7 @@ def _run_slot(
             max_rounds,
             tag_prefix,
             run_functional,
-            memo,
+            memo=memo,
         )
         prompts.extend(refine_prompts)
         return _SlotOutcome(spec.slot, spec.path, prompts, checks, rounds, intermediate)
@@ -191,8 +191,8 @@ def run_trial(
 ) -> None:
     """One full pipeline episode for one problem.  Its trace ends in
     trial_result, or in trial_error (a non-pass) when no candidate survives
-    to aggregation; nothing is returned.  Structural facts and Vendi
-    profiles are kept in memo (run_benchmark's), or in the trial's own.
+    to aggregation; nothing is returned.  Structural facts are kept in memo
+    (run_benchmark's, else the trial's own), Vendi profiles per trial.
 
     The slots of each layer run on the trial's own pool of layer_width
     workers; this thread writes the trace in slot order at each barrier,
@@ -203,6 +203,7 @@ def run_trial(
     if checkers is None:
         checkers = _stub_checkers(config)
     memo = VerdictMemo() if memo is None else memo
+    similarity: dict = {}
 
     specs = [
         AgentSpec(path=path, slot=slot, templates=templates[path.value])
@@ -302,7 +303,7 @@ def run_trial(
                                 "score": entry.score,
                             }
                         )
-            per_layer.append(_layer_stats(cache, layer, config.top_n_hdl, writer, memo))
+            per_layer.append(_layer_stats(cache, layer, config.top_n_hdl, writer, similarity))
             writer.flush()
 
         agg_layer = config.proposer_layers + 1
@@ -326,6 +327,7 @@ def run_trial(
                 "source": source,
             }
         )
+        writer.flush()
 
         # With no rounds to run, one evaluation under the functional gate is
         # final; a compile-only loop's chosen round is evaluated again.
@@ -342,7 +344,7 @@ def run_trial(
             max_rounds,
             agg_tag,
             functional_gate,
-            memo,
+            memo=memo,
         )
         for record in refine_prompts:
             writer.write(_llm_call_event(agg_layer, 1, record))
@@ -370,16 +372,16 @@ def run_trial(
 
 
 def _layer_stats(
-    cache: GlobalCache, layer: int, n: int, writer: TraceWriter, memo: VerdictMemo
+    cache: GlobalCache, layer: int, n: int, writer: TraceWriter, similarity: dict
 ) -> dict:
     """Write the layer_stats event of the TopN window the next layer sees;
     returns its {layer, min_top_n, mean_top_n, vendi_top_n}, all None when
-    the window is empty."""
+    the window is empty.  similarity is the trial's known for pairwise_similarity."""
     window = cache.top_n_hdl(layer + 1, n)
     stats = {"layer": layer, "min_top_n": None, "mean_top_n": None, "vendi_top_n": None}
     if window:
         stats["min_top_n"], stats["mean_top_n"] = cache.layer_quality_stats(layer, n)
-        stats["vendi_top_n"] = vendi_score([e.source for e in window], memo)
+        stats["vendi_top_n"] = vendi_score([e.source for e in window], similarity)
     writer.write(
         {
             "event": "layer_stats",
@@ -434,11 +436,11 @@ def run_benchmark(
     seats, the most LLM requests in flight across all trials; the
     simulator keeps its own gate of one evaluation per CPU, and the checkers
     have no ceiling of their own.  The simulator and the checkers are put
-    behind one VerdictMemo for this call, which also keeps structural facts
-    and Vendi profiles, so each distinct candidate is evaluated and analysed
-    once per run.  Nothing is returned: a trial without candidates
-    ends its trace in trial_error, a non-pass.  The first error a trial
-    raises (an AuthError, say) cancels the queued trials and is re-raised.
+    behind one VerdictMemo for this call, which also keeps structural facts,
+    so each distinct candidate is evaluated and analysed once per run.
+    Nothing is returned: a trial without candidates ends its trace in
+    trial_error, a non-pass.  The first error a trial raises (an AuthError,
+    say) cancels the queued trials and is re-raised.
     """
     benchmark.validate()
     config.validate()

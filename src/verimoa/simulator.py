@@ -132,48 +132,50 @@ def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, by
     ) as proc:
         try:
             output = _read_until_exit(proc, timeout_s)
-            proc.wait()
-        except BaseException as exc:
+        except BaseException:
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             proc.wait()
-            if isinstance(exc, subprocess.TimeoutExpired) and exc.output is None:
-                # communicate() timed out past EOF; reaped, it returns what it read
-                exc.output = proc.communicate()[0] if proc.stdout.closed else b""
             raise
         return proc.returncode, output
 
 
 def _read_until_exit(proc: subprocess.Popen, timeout_s: float) -> bytes:
-    """The child's output once its pipe is closed and it has exited.  The
-    pipe and a pidfd of the child are polled together, so the child is
-    reaped as soon as it exits, not after communicate(timeout)'s sleep-poll,
-    which is the fallback where os.pidfd_open is missing or fails."""
+    """The child's output once its pipe is closed and it has exited.  A
+    pidfd of the child, where os.pidfd_open works, is polled with the pipe
+    so the child is reaped as soon as it exits; elsewhere Popen.wait
+    sleep-polls once the pipe closes."""
+    out, chunks = proc.stdout.fileno(), []
+    deadline = time.monotonic() + timeout_s
+    poller = select.poll()
+    waiting = {out}
     try:
         pidfd = os.pidfd_open(proc.pid)
+        waiting.add(pidfd)
     except (AttributeError, OSError):
-        return proc.communicate(timeout=timeout_s)[0]
+        pidfd = None
+    for fd in waiting:
+        poller.register(fd, select.POLLIN)
     try:
-        out, chunks = proc.stdout.fileno(), []
-        deadline = time.monotonic() + timeout_s
-        poller = select.poll()
-        open_fds = {out, pidfd}
-        for fd in open_fds:
-            poller.register(fd, select.POLLIN)
-        while open_fds:
+        while waiting:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise subprocess.TimeoutExpired(proc.args, timeout_s, b"".join(chunks))
+                raise subprocess.TimeoutExpired(proc.args, timeout_s)
             for fd, _ in poller.poll(remaining * 1000):
                 data = os.read(out, 32768) if fd == out else b""
                 chunks.append(data)
                 if not data:  # EOF, or the child exited
                     poller.unregister(fd)
-                    open_fds.discard(fd)
+                    waiting.discard(fd)
+        proc.wait(max(deadline - time.monotonic(), 0))
+    except subprocess.TimeoutExpired as exc:
+        exc.timeout, exc.output = timeout_s, b"".join(chunks)
+        raise
     finally:
-        os.close(pidfd)
+        if pidfd is not None:
+            os.close(pidfd)
     return b"".join(chunks)
 
 

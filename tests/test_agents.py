@@ -42,6 +42,7 @@ from verimoa.cache import (
 )
 from verimoa.agents import RefineRound
 from verimoa.errors import AuthError, MissingFileError, SimulatorUnavailableError
+from verimoa.memo import VerdictMemo
 from verimoa.problems import Sampling
 from verimoa.scoring import ScoreBranch, ScoreConstants
 
@@ -457,7 +458,7 @@ class TestSimRefine:
     def refine(self, source, backend, sim, max_rounds=2, run_functional=True):
         return sim_refine(
             source, make_problem(), sim, backend, ScoreConstants(), TEMPLATES,
-            SAMPLING, max_rounds, "p/t1/L1/S1", run_functional,
+            SAMPLING, max_rounds, "p/t1/L1/S1", run_functional, memo=VerdictMemo(),
         )
 
     def test_passing_draft_stops_immediately(self, fake_sim):

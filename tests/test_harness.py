@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verimoa import harness
 from verimoa.errors import CorruptTraceError, DomainError, MissingFileError
 from verimoa.harness import (
     CURVES_NAME,
@@ -23,7 +24,6 @@ from verimoa.harness import (
     vendi_from_similarity,
     vendi_score,
 )
-from verimoa.memo import VerdictMemo
 
 
 class TestPassAtK:
@@ -144,22 +144,27 @@ class TestProfiledSimilarity:
         texts = texts + data.draw(st.lists(st.sampled_from(texts), max_size=4))
         expected = reference_similarity(texts).tobytes()
         assert pairwise_similarity(texts).tobytes() == expected
-        # A memo that already holds every profile and every pair, computed
-        # from the reversed list, gives the same bits.
-        memo = VerdictMemo()
+        # Profiles and pairs already known, computed from the reversed list,
+        # give the same bits.
+        known = {}
         reversed_texts = texts[::-1]
-        assert (pairwise_similarity(reversed_texts, memo).tobytes()
+        assert (pairwise_similarity(reversed_texts, known).tobytes()
                 == reference_similarity(reversed_texts).tobytes())
-        assert pairwise_similarity(texts, memo).tobytes() == expected
+        assert pairwise_similarity(texts, known).tobytes() == expected
 
-    def test_each_distinct_text_and_pair_is_computed_once(self):
-        memo = VerdictMemo()
+    def test_each_distinct_text_and_pair_is_computed_once(self, monkeypatch):
+        computed = []
+        for name in ("_profile", "_cosine"):
+            inner = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *args, name=name, inner=inner: (
+                computed.append(name), inner(*args))[1])
+        known = {}
         window = ["module a;", "module b;", "module a;"]
-        first = vendi_score(window, memo)
+        first = vendi_score(window, known)
         # Computed: the profiles of a and b and the pairs (a, b) and (a, a).
-        assert memo.misses == 4
-        assert vendi_score(window[::-1], memo) == first
-        assert memo.misses == 4
+        assert sorted(computed) == ["_cosine"] * 2 + ["_profile"] * 2
+        assert vendi_score(window[::-1], known) == first
+        assert len(computed) == 4
 
     def test_vendi_score_of_a_list_keeps_its_value(self):
         texts = ["aaaa", "aaaa", "bbbb"]

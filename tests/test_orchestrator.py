@@ -42,12 +42,16 @@ CPP_REPLY = "```cpp\nint model() { return 1; }\n```"
 PY_REPLY = "```python\ndef model(): return 1\n```"
 
 
-def happy_backend():
-    return RuleBackend([
+def happy_rules():
+    return [
         ResponseRule(text=CPP_REPLY, tag_contains="stage1", system_contains="C++"),
         ResponseRule(text=PY_REPLY, tag_contains="stage1", system_contains="Python"),
         ResponseRule(text=VERILOG_REPLY),
-    ])
+    ]
+
+
+def happy_backend():
+    return RuleBackend(happy_rules())
 
 
 def small_config(**overrides):
@@ -131,12 +135,25 @@ class TestEventOrder:
         assert all(i > stats_1 for i in layer2_events)
 
     def test_finished_layers_are_on_disk_when_the_next_layer_asks(self, tmp_path):
-        backend = LayerTwoPeekBackend(str(tmp_path / "trace.jsonl"))
+        backend = PeekBackend(str(tmp_path / "trace.jsonl"), "/L2/", happy_backend())
         events = run_one(tmp_path, backend=backend)
         assert backend.seen.endswith("\n")
         seen = [json.loads(line) for line in backend.seen.splitlines()]
         stats_1 = next(i for i, e in enumerate(events) if e["event"] == "layer_stats")
         assert seen == events[: stats_1 + 1]
+
+    def test_aggregate_is_on_disk_when_its_refinement_asks(self, tmp_path):
+        inner = RuleBackend([
+            ResponseRule(text=BROKEN_REPLY, tag_contains="/L3/S1/aggregate"),
+            *happy_rules(),
+        ])
+        backend = PeekBackend(str(tmp_path / "trace.jsonl"), "/L3/S1/sim_refine", inner)
+        config = small_config(enable_sim_refinement=True, max_sim_refine_rounds=1)
+        events = run_one(tmp_path, config=config, backend=backend)
+        assert backend.seen.endswith("\n")
+        seen = [json.loads(line) for line in backend.seen.splitlines()]
+        agg = next(i for i, e in enumerate(events) if e["event"] == "aggregate")
+        assert seen == events[: agg + 1]
 
     def test_no_timing_fields_in_trace(self, tmp_path):
         events = run_one(tmp_path)
@@ -424,20 +441,22 @@ class TestGateCalls:
         assert sim.calls == expected
 
 
-class LayerTwoPeekBackend:
-    """Reads the trial's trace when the first layer-2 request arrives."""
+class PeekBackend:
+    """Reads the trial's trace when the first request whose tag holds
+    tag_part arrives."""
 
     backend_id = "peek"
 
-    def __init__(self, trace_path: str) -> None:
-        self.inner = happy_backend()
+    def __init__(self, trace_path: str, tag_part: str, inner) -> None:
+        self.inner = inner
         self.trace_path = trace_path
+        self.tag_part = tag_part
         self.seen: str | None = None
         self._lock = threading.Lock()
 
     def generate(self, request):
         with self._lock:
-            if self.seen is None and "/L2/" in request.request_tag:
+            if self.seen is None and self.tag_part in request.request_tag:
                 with open(self.trace_path, encoding="utf-8") as fh:
                     self.seen = fh.read()
         return self.inner.generate(request)

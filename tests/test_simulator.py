@@ -518,38 +518,35 @@ class TestRunInSession:
 
 
 class TestRunInSessionWithoutPidfd:
-    """Where os.pidfd_open is missing or fails, communicate() does the wait."""
+    """Where os.pidfd_open is missing or fails, Popen.wait does the wait."""
 
-    @pytest.fixture(params=["missing", "failing"])
-    def communicates(self, request, monkeypatch):
+    @pytest.fixture(autouse=True, params=["missing", "failing"])
+    def no_pidfd(self, request, monkeypatch):
         if request.param == "missing":
             monkeypatch.delattr(os, "pidfd_open", raising=False)
         else:
             def fail(pid, flags=0):
                 raise OSError(errno.ENOSYS, "Function not implemented")
             monkeypatch.setattr(os, "pidfd_open", fail)
-        calls = []
-        communicate = subprocess.Popen.communicate
 
-        def counting(proc, *args, **kwargs):
-            calls.append(kwargs.get("timeout"))
-            return communicate(proc, *args, **kwargs)
-
-        monkeypatch.setattr(subprocess.Popen, "communicate", counting)
-        return calls
-
-    def test_runs_to_the_end(self, tmp_path, communicates):
+    def test_runs_to_the_end(self, tmp_path):
         script = QUIET_TAIL % 0.05 + "; exit 3"
         assert run_in_session(["sh", "-c", script], str(tmp_path), 10.0) == (3, b"hi\n")
-        assert communicates == [10.0]
+
+    def test_output_of_a_grandchild_is_read_to_the_end(self, tmp_path):
+        script = "(sleep 0.2; echo late) & echo early; exit 3"
+        code, output = run_in_session(["sh", "-c", script], str(tmp_path), 10.0)
+        assert (code, output) == (3, b"early\nlate\n")
 
     @pytest.mark.parametrize("script", [QUIET_TAIL % 3, "echo hi; sleep 3"],
                              ids=["closed-pipe", "open-pipe"])
-    def test_timeout_keeps_the_output_read_so_far(self, tmp_path, communicates, script):
+    def test_timeout_keeps_the_output_read_so_far(self, tmp_path, script):
+        started = time.monotonic()
         with pytest.raises(subprocess.TimeoutExpired) as exc:
             run_in_session(["sh", "-c", script], str(tmp_path), 0.3)
         assert exc.value.output == b"hi\n"
-        assert communicates[0] == 0.3
+        assert exc.value.timeout == 0.3
+        assert time.monotonic() - started < 2.5
 
 
 class TestSimcheck:
