@@ -9,7 +9,6 @@ from .cache import (
     CandidateId,
     GlobalCache,
     HdlCacheEntry,
-    IntermediateCacheEntry,
     IntermediateLanguage,
 )
 from .errors import VerimoaError
@@ -26,7 +25,6 @@ __all__ = [
     "ExternalSimulator",
     "GlobalCache",
     "HdlCacheEntry",
-    "IntermediateCacheEntry",
     "IntermediateLanguage",
     "QualityScore",
     "RunConfig",

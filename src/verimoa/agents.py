@@ -27,7 +27,6 @@ from .backends import GenerationRequest, extract_code_block
 from .cache import (
     AgentPath,
     HdlCacheEntry,
-    IntermediateCacheEntry,
     IntermediateLanguage,
     PATH_LANGUAGE,
 )
@@ -104,7 +103,7 @@ def format_hdl_references(entries: list[HdlCacheEntry]) -> str:
 
 
 def format_intermediate_references(
-    entries: list[IntermediateCacheEntry], language: IntermediateLanguage
+    entries: list[HdlCacheEntry], language: IntermediateLanguage
 ) -> str:
     if not entries:
         return ""
@@ -114,9 +113,9 @@ def format_intermediate_references(
             "%s quality %.3f\n```%s\n%s\n```"
             % (
                 candidate_marker(entry.id),
-                entry.score,
+                entry.score.value,
                 _FENCE_TAG[language],
-                entry.source,
+                entry.intermediate,
             )
         )
     return "\n\n".join(parts)
@@ -304,7 +303,7 @@ def run_twostage_agent(
     spec: AgentSpec,
     problem: DesignProblem,
     hdl_refs: list[HdlCacheEntry],
-    int_refs: list[IntermediateCacheEntry],
+    int_refs: list[HdlCacheEntry],
     backend,
     checker: IntermediateChecker,
     layer: int,
@@ -320,7 +319,9 @@ def run_twostage_agent(
     assert layer >= 2 or (not hdl_refs and not int_refs), "layer 1 receives no references"
     language = PATH_LANGUAGE[spec.path]
     fence = _FENCE_TAG[language]
-    assert all(e.language is language for e in int_refs), "cross-language reference"
+    assert all(PATH_LANGUAGE[e.id.path] is language for e in int_refs), (
+        "cross-language reference"
+    )
 
     prompts: list[PromptRecord] = []
     checks: list[CheckerRecord] = []

@@ -86,8 +86,7 @@ def _build_sim(args) -> ExternalSimulator:
         overrides["keep_failed_workspaces"] = True
     if args.sim == "stub":
         return stub_simulator(**overrides)
-    config = iverilog_config(**overrides) if overrides else iverilog_config()
-    return ExternalSimulator(config)
+    return ExternalSimulator(iverilog_config(**overrides))
 
 
 def _build_backend(args, run_dir: str, seats: int) -> TranscriptRecorder:

@@ -41,10 +41,6 @@ class DuplicateIdError(VerimoaError):
     error_code = "duplicate_id"
 
 
-class EmptyWindowError(VerimoaError):
-    error_code = "empty_window"
-
-
 # --- text-generation backends ------------------------------------------------
 
 class BackendExhaustedError(VerimoaError):

@@ -12,7 +12,7 @@ its refinement and the final evaluation run on the trial's own thread.
 run_benchmark runs jobs x layer_width trials at once and gives each
 resource its own ceiling: at most jobs x layer_width LLM requests in
 flight (one gate in front of the backend), at most one simulator
-evaluation per CPU (SimulatorConfig.max_concurrency; an evaluation holds
+evaluation per CPU (simulator.MAX_CONCURRENCY; an evaluation holds
 its slot, and one pooled workspace, from compile through run), and no
 ceiling of their own for the checkers.  A slot that waits for the
 simulator holds no LLM seat.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -54,7 +55,6 @@ from .cache import (
     CandidateId,
     GlobalCache,
     HdlCacheEntry,
-    IntermediateCacheEntry,
     IntermediateLanguage,
     PATH_LANGUAGE,
 )
@@ -213,6 +213,7 @@ def run_trial(
     pool = ThreadPoolExecutor(max_workers=config.layer_width)
     writer = TraceWriter(trace_path)
     per_layer: list[dict] = []
+    window: list[HdlCacheEntry] = []  # the TopN the next layer sees
     try:
         writer.write(
             {
@@ -224,7 +225,6 @@ def run_trial(
         )
         writer.flush()
         for layer in range(1, config.proposer_layers + 1):
-            hdl_refs = cache.top_n_hdl(layer, config.top_n_hdl)
             int_refs_by_language = {
                 lang: cache.top_k_intermediate(lang, layer, config.top_k_intermediate)
                 for lang in IntermediateLanguage
@@ -235,7 +235,7 @@ def run_trial(
                     spec,
                     problem,
                     layer,
-                    hdl_refs,
+                    window,
                     int_refs_by_language,
                     backend,
                     sim,
@@ -276,7 +276,9 @@ def run_trial(
                     continue
                 for rnd in outcome.rounds:
                     cid = CandidateId(layer, outcome.slot, outcome.path, rnd.round_index)
-                    cache.insert_hdl(HdlCacheEntry(cid, rnd.source, rnd.score))
+                    # a stage-1 model rides on its round-0 HDL, and takes its score
+                    intermediate = outcome.intermediate if rnd.round_index == 0 else None
+                    cache.insert_hdl(HdlCacheEntry(cid, rnd.source, rnd.score, intermediate))
                     writer.write(
                         {
                             "event": "cache_insert",
@@ -286,35 +288,29 @@ def run_trial(
                             "score": rnd.score.to_json(),
                         }
                     )
-                    if rnd.round_index == 0 and outcome.intermediate is not None:
-                        # an intermediate inherits its HDL's score
-                        language = PATH_LANGUAGE[outcome.path]
-                        entry = IntermediateCacheEntry(
-                            cid, language, outcome.intermediate, rnd.score.value
-                        )
-                        cache.insert_intermediate(entry)
+                    if intermediate is not None:
                         writer.write(
                             {
                                 "event": "cache_insert",
                                 "kind": "intermediate",
                                 "id": cid.to_json(),
-                                "language": language.value,
-                                "source": entry.source,
-                                "score": entry.score,
+                                "language": PATH_LANGUAGE[outcome.path].value,
+                                "source": intermediate,
+                                "score": rnd.score.value,
                             }
                         )
-            per_layer.append(_layer_stats(cache, layer, config.top_n_hdl, writer, similarity))
+            window = cache.top_n_hdl(layer + 1, config.top_n_hdl)
+            per_layer.append(_layer_stats(window, layer, writer, similarity))
             writer.flush()
 
         agg_layer = config.proposer_layers + 1
-        refs = cache.top_n_hdl(agg_layer, config.top_n_hdl)
-        if not refs:
+        if not window:
             writer.write({"event": "trial_error", "error_code": "pipeline_failure",
                           "message": "no scorable candidates reached aggregation"})
             return
         agg_tag = "%s/t%d/L%d/S1" % (problem.id, trial_index, agg_layer)
         source, agg_prompts, fallback = run_aggregator(
-            problem, refs, backend, templates["aggregator"], config.sampling, agg_tag
+            problem, window, backend, templates["aggregator"], config.sampling, agg_tag
         )
         for record in agg_prompts:
             writer.write(_llm_call_event(agg_layer, 1, record))
@@ -322,7 +318,7 @@ def run_trial(
             {
                 "event": "aggregate",
                 "layer": agg_layer,
-                "refs": [e.id.to_json() for e in refs],
+                "refs": [e.id.to_json() for e in window],
                 "fallback": fallback,
                 "source": source,
             }
@@ -372,22 +368,22 @@ def run_trial(
 
 
 def _layer_stats(
-    cache: GlobalCache, layer: int, n: int, writer: TraceWriter, similarity: dict
+    window: list[HdlCacheEntry], layer: int, writer: TraceWriter, similarity: dict
 ) -> dict:
     """Write the layer_stats event of the TopN window the next layer sees;
     returns its {layer, min_top_n, mean_top_n, vendi_top_n}, all None when
     the window is empty.  similarity is the trial's known for pairwise_similarity."""
-    window = cache.top_n_hdl(layer + 1, n)
     stats = {"layer": layer, "min_top_n": None, "mean_top_n": None, "vendi_top_n": None}
+    values = [e.score.value for e in window]
     if window:
-        stats["min_top_n"], stats["mean_top_n"] = cache.layer_quality_stats(layer, n)
+        stats["min_top_n"], stats["mean_top_n"] = min(values), statistics.fmean(values)
         stats["vendi_top_n"] = vendi_score([e.source for e in window], similarity)
     writer.write(
         {
             "event": "layer_stats",
             **stats,
             "window": [e.id.to_json() for e in window],
-            "window_values": [e.score.value for e in window],
+            "window_values": values,
         }
     )
     return stats

@@ -37,6 +37,8 @@ from .errors import InvariantViolationError, SimulatorUnavailableError, Workspac
 
 DEFAULT_PASS_MARKER = "ALL_TESTS_PASSED"
 DEFAULT_TIMEOUT_MS = 10_000
+# evaluations one ExternalSimulator runs at once: one per CPU
+MAX_CONCURRENCY = os.cpu_count() or 4
 
 LOG_CAP_BYTES = 64 * 1024
 LOG_TAIL_BYTES = 8 * 1024
@@ -50,7 +52,6 @@ class SimulatorConfig:
     workspace_root: str | None = None
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     keep_failed_workspaces: bool = False
-    max_concurrency: int | None = None
 
     def validate(self) -> None:
         if "{sources}" not in self.compile_cmd or "{out}" not in self.compile_cmd:
@@ -112,9 +113,9 @@ def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, by
 
     stdout and stderr share one pipe.  The command runs without the API
     key in its environment, since it runs model-written code, and in a
-    session of its own: a timeout, or any other way out of the wait, kills
-    its whole process group, so a compiler driver's children or a sleep a
-    checker's shell started die with it.  A timeout raises
+    session of its own: every way out of the wait, its exit included,
+    kills its whole process group, so a compiler driver's children or a
+    background sleep a checker's shell started die with it.  A timeout raises
     subprocess.TimeoutExpired holding the output read so far.  Without
     the key set, the command inherits the environment as it is, uncopied.
     The child is reaped as soon as it exits (see _read_until_exit).
@@ -132,21 +133,22 @@ def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, by
     ) as proc:
         try:
             output = _read_until_exit(proc, timeout_s)
-        except BaseException:
+        finally:
+            # Unreaped, the leader's pid names this group and no other; reaped
+            # (no pidfd), it stays reserved while any straggler lives.
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
+            except (ProcessLookupError, PermissionError):  # gone, or only zombies (BSD)
                 pass
             proc.wait()
-            raise
         return proc.returncode, output
 
 
 def _read_until_exit(proc: subprocess.Popen, timeout_s: float) -> bytes:
     """The child's output once its pipe is closed and it has exited.  A
     pidfd of the child, where os.pidfd_open works, is polled with the pipe
-    so the child is reaped as soon as it exits; elsewhere Popen.wait
-    sleep-polls once the pipe closes."""
+    and reports the exit without reaping the child; elsewhere Popen.wait
+    sleep-polls once the pipe closes, and reaps it."""
     out, chunks = proc.stdout.fileno(), []
     deadline = time.monotonic() + timeout_s
     poller = select.poll()
@@ -169,7 +171,8 @@ def _read_until_exit(proc: subprocess.Popen, timeout_s: float) -> bytes:
                 if not data:  # EOF, or the child exited
                     poller.unregister(fd)
                     waiting.discard(fd)
-        proc.wait(max(deadline - time.monotonic(), 0))
+        if pidfd is None:
+            proc.wait(max(deadline - time.monotonic(), 0))
     except subprocess.TimeoutExpired as exc:
         exc.timeout, exc.output = timeout_s, b"".join(chunks)
         raise
@@ -279,8 +282,7 @@ class ExternalSimulator:
     def __init__(self, config: SimulatorConfig) -> None:
         config.validate()
         self.config = config
-        limit = config.max_concurrency or os.cpu_count() or 4
-        self._gate = threading.Semaphore(limit)
+        self._gate = threading.Semaphore(MAX_CONCURRENCY)
         self._pool = WorkspacePool("verimoa-sim-", config.workspace_root)
 
     # -- internals ---------------------------------------------------
@@ -310,7 +312,7 @@ class ExternalSimulator:
         the testbench to ./sim.out and run that if the compile passed.
 
         The CPU gate is held for the whole evaluation, so the pool never
-        holds more than max_concurrency directories.  A workspace is
+        holds more than MAX_CONCURRENCY directories.  A workspace is
         reused unless a command timed out or the evaluation raised (a killed
         process group's stragglers must not write into the next lease); a
         failed one is kept instead when keep_failed_workspaces is set.
@@ -364,7 +366,7 @@ def iverilog_config(**overrides) -> SimulatorConfig:
         compile_cmd="iverilog -g2012 -o {out} {sources}",
         run_cmd="vvp {out}",
     )
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(cfg, **overrides)
 
 
 def _stub_script(name: str) -> str:
@@ -387,9 +389,7 @@ def stub_simulator(**overrides) -> ExternalSimulator:
         compile_cmd="%s compile -o {out} {sources}" % prefix,
         run_cmd="%s run {out}" % prefix,
     )
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return ExternalSimulator(cfg)
+    return ExternalSimulator(replace(cfg, **overrides))
 
 
 @dataclass(frozen=True)

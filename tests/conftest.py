@@ -52,7 +52,7 @@ def assert_gone_within_a_second(pid: int) -> None:
             return
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
-            pytest.fail("process %d still running 1 s after the timeout" % pid)
+            pytest.fail("process %d still running after 1 s" % pid)
         time.sleep(0.02)
 
 
@@ -173,9 +173,12 @@ def make_entry(
     path: AgentPath = AgentPath.BASE,
     refine_round: int = 0,
     source: str = "module m; endmodule",
+    intermediate: str | None = None,
 ) -> HdlCacheEntry:
     cid = CandidateId(layer=layer, slot=slot, path=path, refine_round=refine_round)
-    return HdlCacheEntry(id=cid, source=source, score=make_quality(value))
+    return HdlCacheEntry(
+        id=cid, source=source, score=make_quality(value), intermediate=intermediate
+    )
 
 
 def random_always_block(rng: random.Random) -> AlwaysBlockFacts:

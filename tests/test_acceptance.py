@@ -15,6 +15,7 @@ import math
 import os
 import random
 import shutil
+import statistics
 import threading
 import time
 from collections import Counter
@@ -89,7 +90,8 @@ def test_criterion_02_cache_monotonicity():
                     cache.insert_hdl(
                         make_entry(layer, slot, rng.random(), refine_round=refine_round)
                     )
-            low, mean = cache.layer_quality_stats(layer, n)
+            values = [e.score.value for e in cache.top_n_hdl(layer + 1, n)]
+            low, mean = min(values), statistics.fmean(values)
             if prev_min is not None:
                 assert low >= prev_min, (layers, width, n, layer)
                 # fmean's float summation gets a hair of slack; a real

@@ -34,12 +34,7 @@ from verimoa.agents import (
     stub_checker,
 )
 from verimoa.backends import ResponseRule, RuleBackend, ScriptedBackend
-from verimoa.cache import (
-    AgentPath,
-    CandidateId,
-    IntermediateCacheEntry,
-    IntermediateLanguage,
-)
+from verimoa.cache import AgentPath, CandidateId, IntermediateLanguage
 from verimoa.agents import RefineRound
 from verimoa.errors import AuthError, MissingFileError, SimulatorUnavailableError
 from verimoa.memo import VerdictMemo
@@ -72,12 +67,7 @@ def spec_for(path):
 
 def make_int_entry(layer, slot, value, language=IntermediateLanguage.CPP):
     path = AgentPath.CPP if language is IntermediateLanguage.CPP else AgentPath.PY
-    return IntermediateCacheEntry(
-        id=CandidateId(layer=layer, slot=slot, path=path),
-        language=language,
-        source="int model()",
-        score=value,
-    )
+    return make_entry(layer, slot, value, path=path, intermediate="int model()")
 
 
 def verilog_reply(source=CLEAN_MODULE):

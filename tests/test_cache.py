@@ -1,24 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_entry, make_quality
+from conftest import make_entry
 from verimoa.cache import (
     AgentPath,
     CandidateId,
     GlobalCache,
     HdlCacheEntry,
-    IntermediateCacheEntry,
     IntermediateLanguage,
 )
-from verimoa.errors import DuplicateIdError, EmptyWindowError
+from verimoa.errors import DuplicateIdError
+from verimoa.orchestrator import _layer_stats
 
 
 def make_int(layer, slot, value, language=IntermediateLanguage.CPP, refine_round=0):
+    """An HDL entry carrying a stage-1 model of this language."""
     path = AgentPath.CPP if language is IntermediateLanguage.CPP else AgentPath.PY
-    cid = CandidateId(layer=layer, slot=slot, path=path, refine_round=refine_round)
-    return IntermediateCacheEntry(
-        id=cid, language=language, source="// model", score=value
+    return make_entry(
+        layer, slot, value, path=path, refine_round=refine_round, intermediate="// model"
     )
 
 
@@ -51,38 +53,31 @@ class TestInsertion:
 
     def test_duplicate_intermediate_id_rejected(self):
         cache = GlobalCache()
-        cache.insert_intermediate(make_int(1, 2, 0.5))
+        cache.insert_hdl(make_int(1, 2, 0.5))
         with pytest.raises(DuplicateIdError):
-            cache.insert_intermediate(make_int(1, 2, 0.9))
+            cache.insert_hdl(make_int(1, 2, 0.9))
 
     def test_hdl_and_intermediate_share_id(self):
-        # A two-stage agent caches its stage 1 model and its HDL under the
-        # same candidate id; the two stores must not collide.
+        # A two-stage agent's stage 1 model rides on its HDL entry, under
+        # the same candidate id, and is selected through it.
         cache = GlobalCache()
-        cache.insert_hdl(make_entry(1, 2, 0.8, path=AgentPath.CPP))
-        cache.insert_intermediate(make_int(1, 2, 0.8))
+        entry = make_int(1, 2, 0.8)
+        cache.insert_hdl(entry)
         assert len(cache) == 1
-        assert len(cache.intermediate_entries()) == 1
-
-    def test_language_path_mismatch(self):
-        cid = CandidateId(layer=1, slot=1, path=AgentPath.CPP)
-        with pytest.raises(ValueError):
-            IntermediateCacheEntry(
-                id=cid, language=IntermediateLanguage.PYTHON, source="x", score=0.5
-            )
+        assert cache.top_n_hdl(2, 5) == [entry]
+        assert cache.top_k_intermediate(IntermediateLanguage.CPP, 2, 5) == [entry]
 
     def test_base_path_carries_no_intermediate(self):
         cid = CandidateId(layer=1, slot=1, path=AgentPath.BASE)
         with pytest.raises(ValueError):
-            IntermediateCacheEntry(
-                id=cid, language=IntermediateLanguage.CPP, source="x", score=0.5
-            )
+            HdlCacheEntry(id=cid, source="x", score=make_entry(1, 1, 0.5).score,
+                          intermediate="int model()")
 
     def test_len_counts_hdl_only(self):
         cache = GlobalCache()
         cache.insert_hdl(make_entry(1, 1, 0.8))
-        cache.insert_intermediate(make_int(1, 2, 0.5))
-        assert len(cache) == 1
+        cache.insert_hdl(make_int(1, 2, 0.5))
+        assert len(cache) == 2
 
 
 class TestRanking:
@@ -168,55 +163,114 @@ class TestWindows:
         with pytest.raises(ValueError):
             self.build().top_n_hdl(2, 0)
 
+    def stats(self, cache, layer, n):
+        """The layer_stats of the window the barrier after layer hands on."""
+        writer = ListWriter()
+        stats = _layer_stats(cache.top_n_hdl(layer + 1, n), layer, writer, {})
+        (event,) = writer
+        assert event["event"] == "layer_stats"
+        return stats, event
+
     def test_stats_match_hand_values(self):
-        cache = self.build()
         # Window through layer 2, n=3: values {1.0, 0.8, 0.5}.
-        low, mean = cache.layer_quality_stats(2, 3)
-        assert low == 0.5
-        assert mean == pytest.approx((1.0 + 0.8 + 0.5) / 3)
+        stats, event = self.stats(self.build(), 2, 3)
+        assert event["window_values"] == [1.0, 0.8, 0.5]
+        assert stats["min_top_n"] == 0.5
+        assert stats["mean_top_n"] == pytest.approx((1.0 + 0.8 + 0.5) / 3)
 
     def test_stats_respect_n(self):
-        cache = self.build()
-        low, mean = cache.layer_quality_stats(2, 2)
-        assert low == 0.8
-        assert mean == pytest.approx(0.9)
+        stats, _ = self.stats(self.build(), 2, 2)
+        assert stats["min_top_n"] == 0.8
+        assert stats["mean_top_n"] == pytest.approx(0.9)
 
     def test_stats_on_empty_window(self):
-        with pytest.raises(EmptyWindowError):
-            GlobalCache().layer_quality_stats(1, 3)
+        stats, event = self.stats(GlobalCache(), 1, 3)
+        assert stats == {"layer": 1, "min_top_n": None, "mean_top_n": None,
+                         "vendi_top_n": None}
+        assert event["window"] == event["window_values"] == []
+
+
+class ListWriter(list):
+    def write(self, event):
+        self.append(event)
 
 
 class TestIntermediateWindows:
     def build(self):
         cache = GlobalCache()
-        cache.insert_intermediate(make_int(1, 2, 0.9, IntermediateLanguage.CPP))
-        cache.insert_intermediate(make_int(1, 3, 0.4, IntermediateLanguage.PYTHON))
-        cache.insert_intermediate(make_int(2, 2, 0.6, IntermediateLanguage.CPP))
-        cache.insert_intermediate(make_int(2, 3, 1.0, IntermediateLanguage.PYTHON))
+        cache.insert_hdl(make_int(1, 2, 0.9, IntermediateLanguage.CPP))
+        cache.insert_hdl(make_int(1, 3, 0.4, IntermediateLanguage.PYTHON))
+        cache.insert_hdl(make_int(2, 2, 0.6, IntermediateLanguage.CPP))
+        cache.insert_hdl(make_int(2, 3, 1.0, IntermediateLanguage.PYTHON))
+        # entries without a stage-1 model are never intermediate references
+        cache.insert_hdl(make_entry(1, 1, 1.0))
+        cache.insert_hdl(make_entry(1, 2, 1.0, path=AgentPath.CPP, refine_round=1))
         return cache
 
     def test_language_filter(self):
         cache = self.build()
         top = cache.top_k_intermediate(IntermediateLanguage.CPP, 3, 5)
-        assert [e.score for e in top] == [0.9, 0.6]
+        assert [e.score.value for e in top] == [0.9, 0.6]
 
     def test_layer_filter(self):
         cache = self.build()
         top = cache.top_k_intermediate(IntermediateLanguage.PYTHON, 2, 5)
-        assert [e.score for e in top] == [0.4]
+        assert [e.score.value for e in top] == [0.4]
 
     def test_k_truncates(self):
         cache = self.build()
         top = cache.top_k_intermediate(IntermediateLanguage.CPP, 3, 1)
-        assert [e.score for e in top] == [0.9]
+        assert [e.score.value for e in top] == [0.9]
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             self.build().top_k_intermediate(IntermediateLanguage.CPP, 2, 0)
 
-    def test_entries_accessor_filters(self):
-        cache = self.build()
-        assert len(cache.intermediate_entries()) == 4
-        py = cache.intermediate_entries(IntermediateLanguage.PYTHON)
-        assert all(e.language is IntermediateLanguage.PYTHON for e in py)
-        assert len(py) == 2
+
+def two_list_top_k(entries, language, before_layer, k):
+    """The ranking of the former separate intermediate list: one
+    (id, language, score) record per stage-1 model, sorted by score
+    descending, later layer, lower slot, later round, then path name."""
+    languages = {AgentPath.CPP: IntermediateLanguage.CPP,
+                 AgentPath.PY: IntermediateLanguage.PYTHON}
+    models = [(e.id, languages[e.id.path], e.score.value)
+              for e in entries if e.intermediate is not None]
+    eligible = [(cid, value) for cid, lang, value in models
+                if lang is language and cid.layer < before_layer]
+    eligible.sort(key=lambda m: (-m[1], -m[0].layer, m[0].slot,
+                                 -m[0].refine_round, m[0].path.value))
+    return [cid for cid, _ in eligible[:k]]
+
+
+candidates = st.lists(
+    st.tuples(
+        st.integers(1, 4),  # layer
+        st.integers(1, 3),  # slot
+        st.sampled_from(list(AgentPath)),
+        st.integers(0, 2),  # refine round
+        st.sampled_from([0.3, 0.65, 0.8, 1.0]),  # few values, many ties
+        st.booleans(),  # carries a stage-1 model, where its path has one
+    ),
+    max_size=40,
+    unique_by=lambda c: c[:4],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidates, st.randoms(use_true_random=False))
+def test_top_k_intermediate_matches_the_two_list_ranking(candidates, rng):
+    entries = [
+        make_entry(layer, slot, value, path=path, refine_round=rnd,
+                   intermediate="// model" if model and path is not AgentPath.BASE else None)
+        for layer, slot, path, rnd, value, model in candidates
+    ]
+    rng.shuffle(entries)
+    cache = GlobalCache()
+    for entry in entries:
+        cache.insert_hdl(entry)
+    assert len(cache) == len(entries)
+    for language in IntermediateLanguage:
+        for before_layer in range(1, 6):
+            for k in (1, 2, 5, 40):
+                got = cache.top_k_intermediate(language, before_layer, k)
+                assert [e.id for e in got] == two_list_top_k(entries, language, before_layer, k)

@@ -17,6 +17,7 @@ from conftest import (
     make_problem,
 )
 from verimoa import __version__
+from verimoa.agents import CANDIDATE_MARKER_RE
 from verimoa.backends import (
     GenerationResponse,
     HttpBackend,
@@ -269,6 +270,34 @@ class TestCaching:
             if e["event"] == "cache_insert" and e["kind"] == "hdl"
         ]
         assert events[-1]["candidate_count"] == len(hdl_inserts)
+
+    def test_each_window_is_what_the_next_layer_and_the_aggregator_see(self, tmp_path):
+        backend = RuleBackend([
+            ResponseRule(text=CPP_REPLY, tag_contains="stage1", system_contains="C++"),
+            ResponseRule(text=PY_REPLY, tag_contains="stage1", system_contains="Python"),
+            ResponseRule(text=VERILOG_REPLY, tag_contains="sim_refine"),
+            ResponseRule(text=BROKEN_REPLY),
+        ])
+        config = small_config(
+            proposer_layers=3, enable_sim_refinement=True, max_sim_refine_rounds=1
+        )
+        events = run_one(tmp_path, config=config, backend=backend)
+        windows = {e["layer"]: e["window"] for e in events if e["event"] == "layer_stats"}
+
+        def direct_refs(layer):
+            (prompt,) = [e["user_prompt"] for e in events if e["event"] == "llm_call"
+                         and e["layer"] == layer and e["stage"] == "direct"]
+            return [
+                {"layer": int(lay), "slot": int(slot), "path": path, "refine_round": int(rnd)}
+                for lay, slot, path, rnd in CANDIDATE_MARKER_RE.findall(prompt)
+            ]
+
+        assert direct_refs(1) == []
+        for layer in (1, 2):
+            assert len(windows[layer]) == config.top_n_hdl
+            assert direct_refs(layer + 1) == windows[layer]
+        (aggregate,) = [e for e in events if e["event"] == "aggregate"]
+        assert aggregate["refs"] == windows[3]
 
     def test_candidate_count_without_refinement(self, tmp_path):
         events = run_one(tmp_path)

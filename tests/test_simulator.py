@@ -20,6 +20,7 @@ from verimoa.errors import (
     SimulatorUnavailableError,
     WorkspaceError,
 )
+from verimoa import simulator
 from verimoa.simulator import (
     LOG_CAP_BYTES,
     LOG_TAIL_BYTES,
@@ -375,8 +376,9 @@ class TestWorkspacePool:
         del pool
         assert os.listdir(tmp_path) == []
 
-    def test_at_most_max_concurrency_directories(self, tmp_path):
-        sim = stub_simulator(workspace_root=str(tmp_path), max_concurrency=2)
+    def test_at_most_max_concurrency_directories(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_CONCURRENCY", 2)
+        sim = stub_simulator(workspace_root=str(tmp_path))
         problem = make_problem()
         sources = [CLEAN_MODULE + "// SLEEP_MS=20 v%d" % i for i in range(8)]
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -482,6 +484,8 @@ def test_the_environment_reaches_the_command_without_the_key(tmp_path, monkeypat
 
 # Closes its output at once, then lives on for a while.
 QUIET_TAIL = "echo hi; exec >&- 2>&-; sleep %s"
+# Leaves a process behind that holds no end of the output pipe.
+BACKGROUND = "sleep 3 >/dev/null 2>&1 & echo $! > bg.pid; echo done"
 
 
 class TestRunInSession:
@@ -497,6 +501,10 @@ class TestRunInSession:
         script = "(sleep 0.2; echo late) & echo early; exit 3"
         code, output = run_in_session(["sh", "-c", script], str(tmp_path), 10.0)
         assert (code, output) == (3, b"early\nlate\n")
+
+    def test_a_finished_command_leaves_no_process_behind(self, tmp_path):
+        assert run_in_session(["sh", "-c", BACKGROUND], str(tmp_path), 10.0) == (0, b"done\n")
+        assert_gone_within_a_second(int((tmp_path / "bg.pid").read_text()))
 
     @pytest.mark.parametrize("script", [QUIET_TAIL % 3, "echo hi; sleep 3"],
                              ids=["closed-pipe", "open-pipe"])
@@ -537,6 +545,10 @@ class TestRunInSessionWithoutPidfd:
         script = "(sleep 0.2; echo late) & echo early; exit 3"
         code, output = run_in_session(["sh", "-c", script], str(tmp_path), 10.0)
         assert (code, output) == (3, b"early\nlate\n")
+
+    def test_a_finished_command_leaves_no_process_behind(self, tmp_path):
+        assert run_in_session(["sh", "-c", BACKGROUND], str(tmp_path), 10.0) == (0, b"done\n")
+        assert_gone_within_a_second(int((tmp_path / "bg.pid").read_text()))
 
     @pytest.mark.parametrize("script", [QUIET_TAIL % 3, "echo hi; sleep 3"],
                              ids=["closed-pipe", "open-pipe"])
