@@ -33,6 +33,7 @@ from .cache import (
 from .errors import (
     AuthError,
     MissingFileError,
+    SchemaError,
     SimulatorUnavailableError,
     VerimoaError,
     WorkspaceError,
@@ -53,6 +54,14 @@ TEMPLATE_NAMES = {
     "cpp": ("stage1", "stage1_refine", "stage2", "sim_refine"),
     "py": ("stage1", "stage1_refine", "stage2", "sim_refine"),
     "aggregator": ("aggregate", "sim_refine"),
+}
+
+# The keywords each template's call site formats it with, in every group.
+TEMPLATE_PLACEHOLDERS = {
+    **dict.fromkeys(("direct", "stage1", "aggregate"), ("description", "references")),
+    "stage1_refine": ("description", "intermediate", "feedback"),
+    "stage2": ("description", "intermediate", "references"),
+    "sim_refine": ("description", "candidate", "feedback"),
 }
 
 SYSTEM_PROMPTS = {
@@ -122,7 +131,9 @@ def format_intermediate_references(
 
 
 def load_templates(root: str | None = None) -> dict[str, dict[str, str]]:
-    """Load prompt templates, from the package or an override directory."""
+    """Load prompt templates, from the package or an override directory; a
+    template that does not format with its TEMPLATE_PLACEHOLDERS, and so
+    would fail mid-run, is a SchemaError naming it."""
     out: dict[str, dict[str, str]] = {}
     for group, names in TEMPLATE_NAMES.items():
         out[group] = {}
@@ -141,6 +152,11 @@ def load_templates(root: str | None = None) -> dict[str, dict[str, str]]:
                     raise MissingFileError("missing template %s" % path)
                 with open(path, encoding="utf-8") as fh:
                     text = fh.read()
+            try:
+                text.format(**dict.fromkeys(TEMPLATE_PLACEHOLDERS[name], ""))
+            except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
+                raise SchemaError("template %s/%s does not format with %s: %r"
+                                  % (group, name, TEMPLATE_PLACEHOLDERS[name], exc))
             out[group][name] = text
     return out
 
@@ -172,7 +188,7 @@ class PromptRecord:
 
 @dataclass(frozen=True)
 class CheckerRecord:
-    round_index: int
+    round: int
     status: str  # pass | fail | error
     diagnostics: str
 
@@ -286,8 +302,10 @@ def run_base_agent(
     layer: int,
     sampling: Sampling,
     tag_prefix: str,
-) -> tuple[str, list[PromptRecord]]:
-    """Direct description-to-HDL generation. Returns (source, prompts)."""
+    prompts: list[PromptRecord],
+) -> str:
+    """Direct description-to-HDL generation; appends its call to prompts
+    and returns the source."""
     assert layer >= 2 or not hdl_refs, "layer 1 receives no references"
     user = spec.templates["direct"].format(
         description=problem.description,
@@ -296,7 +314,8 @@ def run_base_agent(
     record = _call(
         backend, "direct", SYSTEM_PROMPTS["hdl"], user, sampling, tag_prefix, "verilog"
     )
-    return record.extracted_source, [record]
+    prompts.append(record)
+    return record.extracted_source
 
 
 def run_twostage_agent(
@@ -309,12 +328,15 @@ def run_twostage_agent(
     layer: int,
     sampling: Sampling,
     tag_prefix: str,
-) -> tuple[str, str, list[PromptRecord], list[CheckerRecord]]:
+    prompts: list[PromptRecord],
+    checks: list[CheckerRecord],
+) -> tuple[str, str]:
     """Two-stage generation through an intermediate language.
 
-    Returns (hdl_source, intermediate_source, prompts, checker_records).
-    A broken checker downgrades to zero refinement rounds rather than
-    failing the agent.
+    Returns (hdl_source, intermediate_source).  Each answered call is
+    appended to prompts and each check to checks as it arrives, so a
+    failing stage 2 leaves them there.  A broken checker downgrades to
+    zero refinement rounds rather than failing the agent.
     """
     assert layer >= 2 or (not hdl_refs and not int_refs), "layer 1 receives no references"
     language = PATH_LANGUAGE[spec.path]
@@ -322,9 +344,6 @@ def run_twostage_agent(
     assert all(PATH_LANGUAGE[e.id.path] is language for e in int_refs), (
         "cross-language reference"
     )
-
-    prompts: list[PromptRecord] = []
-    checks: list[CheckerRecord] = []
 
     user = spec.templates["stage1"].format(
         description=problem.description,
@@ -367,7 +386,7 @@ def run_twostage_agent(
         backend, "stage2", SYSTEM_PROMPTS["hdl"], user, sampling, tag_prefix, "verilog"
     )
     prompts.append(record)
-    return record.extracted_source, intermediate, prompts, checks
+    return record.extracted_source, intermediate
 
 
 def gated_evaluation(

@@ -218,6 +218,11 @@ class ReplayBackend:
                         "%s:%d: expected a transcript record with key and "
                         "response_text" % (path, line_no)
                     )
+                if not all(isinstance(value, str) for value in (key, text, tag)):
+                    raise SchemaError(
+                        "%s:%d: key, response_text and request_tag must be strings"
+                        % (path, line_no)
+                    )
                 # First record wins; replays of reruns may append dupes.
                 responses.setdefault(key, text)
                 tagged.setdefault((tag, key), text)

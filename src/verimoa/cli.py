@@ -131,6 +131,7 @@ def _cmd_run(args) -> int:
             raise _UsageError("--out %s already holds a run (%s)" % (args.out, name))
     config = load_config(args.config)
     benchmark = load_benchmark(args.benchmark)
+    templates = load_templates(args.templates) if args.templates else None
     backend = _build_backend(args, args.out, llm_seats(args.jobs, config))
     sim = _build_sim(args)
     # Probe before any output is written; a dead simulator would otherwise
@@ -138,7 +139,6 @@ def _cmd_run(args) -> int:
     ok, message = simcheck(sim)
     if not ok:
         raise SimulatorUnavailableError("simulator preflight failed: %s" % message)
-    templates = load_templates(args.templates) if args.templates else None
     checkers = _build_checkers(args, config.max_stage1_refine_rounds)
     try:
         run_benchmark(

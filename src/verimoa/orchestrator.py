@@ -1,11 +1,12 @@
 """Trial execution: layered agents, cache barriers, aggregation, tracing.
 
 Within a trial, layers run strictly in sequence.  All agents of a layer
-run concurrently against an immutable snapshot of the cache; their outputs
-are evaluated inside the agent task, then inserted at the layer barrier in
-slot order.  The trace file therefore has one canonical event order per
-run, independent of thread scheduling, and carries no timing fields --
-replay runs are byte-identical.
+run concurrently against an immutable snapshot of the cache; each slot
+evaluates its outputs and hands back its finished trace events and cache
+entries, which the layer barrier writes and inserts in slot order.  The
+trace file therefore has one canonical event order per run, independent
+of thread scheduling, and carries no timing fields -- replay runs are
+byte-identical.
 
 Each trial runs its layer_width slots on its own workers; the aggregator,
 its refinement and the final evaluation run on the trial's own thread.
@@ -31,7 +32,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from . import __version__
 from .agents import (
@@ -39,7 +40,6 @@ from .agents import (
     CheckerRecord,
     IntermediateChecker,
     PromptRecord,
-    RefineRound,
     best_round,
     gated_evaluation,
     load_templates,
@@ -83,36 +83,8 @@ class TraceWriter:
         self._fh.close()
 
 
-@dataclass
-class _SlotOutcome:
-    slot: int
-    path: AgentPath
-    prompts: list[PromptRecord]
-    checks: list[CheckerRecord]
-    rounds: list[RefineRound]
-    intermediate: str | None
-    error: VerimoaError | None = None
-
-
 def _llm_call_event(layer: int, slot: int, record: PromptRecord) -> dict:
-    return {
-        "event": "llm_call",
-        "layer": layer,
-        "slot": slot,
-        "stage": record.stage,
-        "request_tag": record.request_tag,
-        "system_prompt": record.system_prompt,
-        "user_prompt": record.user_prompt,
-        "response_text": record.response_text,
-        "extracted_source": record.extracted_source,
-    }
-
-
-def _stub_checkers(config: RunConfig) -> dict[IntermediateLanguage, IntermediateChecker]:
-    return {
-        lang: stub_checker(lang, config.max_stage1_refine_rounds)
-        for lang in IntermediateLanguage
-    }
+    return {"event": "llm_call", "layer": layer, "slot": slot, **asdict(record)}
 
 
 def _run_slot(
@@ -128,18 +100,29 @@ def _run_slot(
     tag_prefix: str,
     run_functional: bool,
     memo: VerdictMemo,
-) -> _SlotOutcome:
+) -> tuple[list[dict], list[HdlCacheEntry]]:
+    """One agent slot of one layer, against the cache snapshot it is given.
+
+    Returns (events, entries).  events are the slot's finished trace events
+    in the order the barrier writes them: its answered llm_calls, its
+    checker runs, then either agent_error or, for each round, a
+    cache_insert of its HDL followed, when the round carries a stage-1
+    model, by a cache_insert of that model.  entries are the rounds'
+    HdlCacheEntry, for the barrier to insert.  A failed slot keeps the
+    calls and checks it paid for and returns no entries; an AuthError
+    propagates.
+    """
     prompts: list[PromptRecord] = []
     checks: list[CheckerRecord] = []
-    intermediate = None
+    intermediate, rounds, failure = None, [], []
     try:
         if spec.path is AgentPath.BASE:
-            source, prompts = run_base_agent(
-                spec, problem, hdl_refs, backend, layer, config.sampling, tag_prefix
+            source = run_base_agent(
+                spec, problem, hdl_refs, backend, layer, config.sampling, tag_prefix, prompts
             )
         else:
             language = PATH_LANGUAGE[spec.path]
-            source, intermediate, prompts, checks = run_twostage_agent(
+            source, intermediate = run_twostage_agent(
                 spec,
                 problem,
                 hdl_refs,
@@ -149,10 +132,9 @@ def _run_slot(
                 layer,
                 config.sampling,
                 tag_prefix,
+                prompts,
+                checks,
             )
-        max_rounds = (
-            config.max_sim_refine_rounds if config.enable_sim_refinement else 0
-        )
         rounds, refine_prompts = sim_refine(
             source,
             problem,
@@ -161,19 +143,33 @@ def _run_slot(
             config.score_constants,
             spec.templates,
             config.sampling,
-            max_rounds,
+            config.sim_refine_rounds,
             tag_prefix,
             run_functional,
             memo=memo,
         )
         prompts.extend(refine_prompts)
-        return _SlotOutcome(spec.slot, spec.path, prompts, checks, rounds, intermediate)
     except AuthError:
         raise
     except VerimoaError as exc:
-        return _SlotOutcome(
-            spec.slot, spec.path, prompts, checks, [], intermediate, error=exc
-        )
+        failure = [{"event": "agent_error", "layer": layer, "slot": spec.slot,
+                    "error_code": exc.error_code, "message": str(exc)}]
+    events = [_llm_call_event(layer, spec.slot, record) for record in prompts]
+    events += [{"event": "checker", "layer": layer, "slot": spec.slot, **asdict(check)}
+               for check in checks] + failure
+    entries = []
+    for rnd in rounds:
+        # a stage-1 model rides on its round-0 HDL, and takes its score
+        model = None if rnd.round_index else intermediate
+        cid = CandidateId(layer, spec.slot, spec.path, rnd.round_index)
+        entries.append(HdlCacheEntry(cid, rnd.source, rnd.score, model))
+        events.append({"event": "cache_insert", "kind": "hdl", "id": cid.to_json(),
+                       "source": rnd.source, "score": rnd.score.to_json()})
+        if model is not None:
+            events.append({"event": "cache_insert", "kind": "intermediate",
+                           "id": cid.to_json(), "language": PATH_LANGUAGE[spec.path].value,
+                           "source": model, "score": rnd.score.value})
+    return events, entries
 
 
 def run_trial(
@@ -184,25 +180,23 @@ def run_trial(
     seed: int,
     trial_index: int,
     trace_path: str,
-    templates: dict[str, dict[str, str]] | None = None,
-    checkers: dict[IntermediateLanguage, IntermediateChecker] | None = None,
+    *,
+    templates: dict[str, dict[str, str]],
+    checkers: dict[IntermediateLanguage, IntermediateChecker],
+    memo: VerdictMemo,
     run_functional: bool = True,
-    memo: VerdictMemo | None = None,
 ) -> None:
     """One full pipeline episode for one problem.  Its trace ends in
     trial_result, or in trial_error (a non-pass) when no candidate survives
-    to aggregation; nothing is returned.  Structural facts are kept in memo
-    (run_benchmark's, else the trial's own), Vendi profiles per trial.
+    to aggregation; nothing is returned.  Structural facts are kept in
+    memo, Vendi profiles per trial.
 
     The slots of each layer run on the trial's own pool of layer_width
-    workers; this thread writes the trace in slot order at each barrier,
-    so the trace order does not depend on which worker ran what.
+    workers; each returns its finished trace events and cache entries, and
+    this thread writes and inserts them in slot order at each barrier, so
+    the trace order does not depend on which worker ran what.
     """
     config.validate()
-    templates = templates or load_templates()
-    if checkers is None:
-        checkers = _stub_checkers(config)
-    memo = VerdictMemo() if memo is None else memo
     similarity: dict = {}
 
     specs = [
@@ -247,58 +241,12 @@ def run_trial(
                 )
                 for spec in specs
             ]
-            # barrier: every slot done, then insertion in slot order
-            outcomes = [f.result() for f in futures]
-            for outcome in outcomes:
-                for record in outcome.prompts:
-                    writer.write(_llm_call_event(layer, outcome.slot, record))
-                for check in outcome.checks:
-                    writer.write(
-                        {
-                            "event": "checker",
-                            "layer": layer,
-                            "slot": outcome.slot,
-                            "round": check.round_index,
-                            "status": check.status,
-                            "diagnostics": check.diagnostics,
-                        }
-                    )
-                if outcome.error is not None:
-                    writer.write(
-                        {
-                            "event": "agent_error",
-                            "layer": layer,
-                            "slot": outcome.slot,
-                            "error_code": outcome.error.error_code,
-                            "message": str(outcome.error),
-                        }
-                    )
-                    continue
-                for rnd in outcome.rounds:
-                    cid = CandidateId(layer, outcome.slot, outcome.path, rnd.round_index)
-                    # a stage-1 model rides on its round-0 HDL, and takes its score
-                    intermediate = outcome.intermediate if rnd.round_index == 0 else None
-                    cache.insert_hdl(HdlCacheEntry(cid, rnd.source, rnd.score, intermediate))
-                    writer.write(
-                        {
-                            "event": "cache_insert",
-                            "kind": "hdl",
-                            "id": cid.to_json(),
-                            "source": rnd.source,
-                            "score": rnd.score.to_json(),
-                        }
-                    )
-                    if intermediate is not None:
-                        writer.write(
-                            {
-                                "event": "cache_insert",
-                                "kind": "intermediate",
-                                "id": cid.to_json(),
-                                "language": PATH_LANGUAGE[outcome.path].value,
-                                "source": intermediate,
-                                "score": rnd.score.value,
-                            }
-                        )
+            # barrier: every slot done, then its events and entries in slot order
+            for events, entries in [f.result() for f in futures]:
+                for event in events:
+                    writer.write(event)
+                for entry in entries:
+                    cache.insert_hdl(entry)
             window = cache.top_n_hdl(layer + 1, config.top_n_hdl)
             per_layer.append(_layer_stats(window, layer, writer, similarity))
             writer.flush()
@@ -327,8 +275,7 @@ def run_trial(
 
         # With no rounds to run, one evaluation under the functional gate is
         # final; a compile-only loop's chosen round is evaluated again.
-        max_rounds = config.max_sim_refine_rounds if config.enable_sim_refinement else 0
-        functional_gate = run_functional or max_rounds == 0
+        functional_gate = run_functional or config.sim_refine_rounds == 0
         rounds, refine_prompts = sim_refine(
             source,
             problem,
@@ -337,7 +284,7 @@ def run_trial(
             config.score_constants,
             templates["aggregator"],
             config.sampling,
-            max_rounds,
+            config.sim_refine_rounds,
             agg_tag,
             functional_gate,
             memo=memo,
@@ -442,7 +389,10 @@ def run_benchmark(
     config.validate()
     templates = templates or load_templates()
     if checkers is None:
-        checkers = _stub_checkers(config)
+        checkers = {
+            lang: stub_checker(lang, config.max_stage1_refine_rounds)
+            for lang in IntermediateLanguage
+        }
     width = llm_seats(jobs, config)
     backend = GatedBackend(backend, width)
     memo = VerdictMemo()

@@ -289,6 +289,10 @@ class RunConfig:
     def mixture_paths(self) -> tuple[AgentPath, ...]:
         return tuple(MIXTURE_TAGS[tag] for tag in self.mixture)
 
+    @property
+    def sim_refine_rounds(self) -> int:
+        return self.max_sim_refine_rounds if self.enable_sim_refinement else 0
+
     def to_json(self) -> dict:
         return {**asdict(self), "mixture": list(self.mixture)}
 

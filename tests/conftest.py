@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from verimoa.agents import load_templates, stub_checker
 from verimoa.analyzer import AlwaysBlockFacts, Sensitivity, StructuralFacts
 from verimoa.backends import load_scripted
-from verimoa.cache import AgentPath, CandidateId, HdlCacheEntry
+from verimoa.cache import AgentPath, CandidateId, HdlCacheEntry, IntermediateLanguage
 from verimoa.harness import build_report
+from verimoa.memo import VerdictMemo
 from verimoa.orchestrator import run_benchmark
 from verimoa.problems import DesignProblem, load_benchmark, load_config
 from verimoa.scoring import QualityScore, ScoreBranch
@@ -151,6 +153,19 @@ def make_problem(pid: str = "widget", **overrides) -> DesignProblem:
     )
     fields.update(overrides)
     return DesignProblem(**fields)
+
+
+def trial_collaborators(config) -> dict:
+    """run_trial's templates, checkers and memo as run_benchmark resolves
+    them by default: packaged templates, stub checkers, a fresh memo."""
+    return dict(
+        templates=load_templates(),
+        checkers={
+            lang: stub_checker(lang, config.max_stage1_refine_rounds)
+            for lang in IntermediateLanguage
+        },
+        memo=VerdictMemo(),
+    )
 
 
 def make_quality(value: float) -> QualityScore:

@@ -34,6 +34,7 @@ from conftest import (
     make_problem,
     random_facts,
     session_elapsed,
+    trial_collaborators,
 )
 from verimoa.agents import gated_evaluation
 from verimoa.backends import ResponseRule, RuleBackend
@@ -359,7 +360,8 @@ def test_criterion_08_call_count_law(tmp_path):
             seed=case,
             trial_index=0,
             trace_path=trace_path,
-            checkers={lang: checker for lang in IntermediateLanguage},
+            **trial_collaborators(config)
+            | {"checkers": {lang: checker for lang in IntermediateLanguage}},
         )
 
         refine = sim_rounds if (enable and hdl_fails) else 0

@@ -1,4 +1,5 @@
 import shlex
+import string
 import sys
 import tempfile
 
@@ -18,6 +19,7 @@ from verimoa.agents import (
     CANDIDATE_MARKER_RE,
     SYSTEM_PROMPTS,
     TEMPLATE_NAMES,
+    TEMPLATE_PLACEHOLDERS,
     AgentSpec,
     CheckerRecord,
     IntermediateChecker,
@@ -36,7 +38,7 @@ from verimoa.agents import (
 from verimoa.backends import ResponseRule, RuleBackend, ScriptedBackend
 from verimoa.cache import AgentPath, CandidateId, IntermediateLanguage
 from verimoa.agents import RefineRound
-from verimoa.errors import AuthError, MissingFileError, SimulatorUnavailableError
+from verimoa.errors import AuthError, MissingFileError, SchemaError, SimulatorUnavailableError
 from verimoa.memo import VerdictMemo
 from verimoa.problems import Sampling
 from verimoa.scoring import ScoreBranch, ScoreConstants
@@ -141,6 +143,28 @@ class TestTemplates:
         loaded = load_templates(str(tmp_path))
         assert loaded["base"]["direct"].startswith("custom base/direct")
 
+    def test_packaged_templates_use_exactly_their_placeholders(self):
+        loaded = load_templates()
+        for group, names in TEMPLATE_NAMES.items():
+            for name in names:
+                used = {f for _, f, _, _ in string.Formatter().parse(loaded[group][name]) if f}
+                assert used == set(TEMPLATE_PLACEHOLDERS[name]), (group, name)
+
+    @pytest.mark.parametrize("text", [
+        "{description} {bogus}", "{}", "{description.bogus}", "{description[x]}",
+        "{description:d}", "{",
+    ])
+    def test_override_with_a_bad_placeholder(self, tmp_path, text):
+        for group, names in TEMPLATE_NAMES.items():
+            (tmp_path / group).mkdir()
+            for name in names:
+                (tmp_path / group / (name + ".txt")).write_text(
+                    "{description}", encoding="utf-8"
+                )
+        (tmp_path / "cpp" / "stage2.txt").write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match="template cpp/stage2 "):
+            load_templates(str(tmp_path))
+
     def test_override_missing_file(self, tmp_path):
         (tmp_path / "base").mkdir()
         (tmp_path / "base" / "direct.txt").write_text("x", encoding="utf-8")
@@ -156,9 +180,10 @@ class TestBaseAgent:
     def test_prompt_carries_description_and_references(self):
         backend = ScriptedBackend([verilog_reply()])
         refs = [make_entry(1, 1, 0.8, source="module ref; endmodule")]
-        source, prompts = run_base_agent(
+        prompts = []
+        source = run_base_agent(
             spec_for(AgentPath.BASE), make_problem(), refs, backend,
-            layer=2, sampling=SAMPLING, tag_prefix="widget/t1/L2/S1",
+            layer=2, sampling=SAMPLING, tag_prefix="widget/t1/L2/S1", prompts=prompts,
         )
         assert source == CLEAN_MODULE.strip("\n")
         record = prompts[0]
@@ -174,14 +199,15 @@ class TestBaseAgent:
             run_base_agent(
                 spec_for(AgentPath.BASE), make_problem(),
                 [make_entry(1, 1, 0.8)], backend,
-                layer=1, sampling=SAMPLING, tag_prefix="p/t1/L1/S1",
+                layer=1, sampling=SAMPLING, tag_prefix="p/t1/L1/S1", prompts=[],
             )
 
     def test_layer_one_prompt_has_no_markers(self):
         backend = ScriptedBackend([verilog_reply()])
-        _, prompts = run_base_agent(
+        prompts = []
+        run_base_agent(
             spec_for(AgentPath.BASE), make_problem(), [], backend,
-            layer=1, sampling=SAMPLING, tag_prefix="p/t1/L1/S1",
+            layer=1, sampling=SAMPLING, tag_prefix="p/t1/L1/S1", prompts=prompts,
         )
         assert not CANDIDATE_MARKER_RE.search(prompts[0].user_prompt)
 
@@ -189,11 +215,14 @@ class TestBaseAgent:
 class TestTwoStageAgent:
     def run(self, checker, responses, int_refs=(), hdl_refs=(), layer=2):
         backend = ScriptedBackend(list(responses))
-        return run_twostage_agent(
+        prompts, checks = [], []
+        hdl, intermediate = run_twostage_agent(
             spec_for(AgentPath.CPP), make_problem(), list(hdl_refs),
             list(int_refs), backend, checker,
             layer=layer, sampling=SAMPLING, tag_prefix="p/t1/L%d/S2" % layer,
+            prompts=prompts, checks=checks,
         )
+        return hdl, intermediate, prompts, checks
 
     def test_clean_pass_through(self):
         responses = ["```cpp\nint model() { return 1; }\n```", verilog_reply()]

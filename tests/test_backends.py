@@ -321,6 +321,19 @@ class TestReplay:
         with pytest.raises(SchemaError, match=":1:"):
             ReplayBackend.from_transcript(str(transcript))
 
+    @pytest.mark.parametrize("field, value", [
+        ("key", ["a"]), ("response_text", 5), ("request_tag", None),
+    ])
+    def test_non_string_transcript_field(self, tmp_path, field, value):
+        record = {"key": "abc", "request_tag": "p/t0/L1/S1/direct", "response_text": "x"}
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text(
+            json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match=":2: .*must be strings"):
+            ReplayBackend.from_transcript(str(transcript))
+
 
 class FakeResponse:
     def __init__(self, status_code, payload=None, invalid_body=False):

@@ -8,7 +8,7 @@ import importlib.util
 import inspect
 import os
 
-from conftest import CLEAN_MODULE, REPO_ROOT, FakeSimulator, make_problem
+from conftest import CLEAN_MODULE, REPO_ROOT, FakeSimulator, make_problem, trial_collaborators
 from verimoa import cache, orchestrator
 from verimoa.backends import ResponseRule, RuleBackend
 from verimoa.problems import RunConfig
@@ -57,7 +57,8 @@ def test_a_traced_trial_is_seen_by_every_hook(tmp_path):
     try:
         hooks.install()
         orchestrator.run_trial(make_problem(), config, backend, FakeSimulator(), seed=1,
-                               trial_index=0, trace_path=str(tmp_path / "trace.jsonl"))
+                               trial_index=0, trace_path=str(tmp_path / "trace.jsonl"),
+                               **trial_collaborators(config))
     finally:
         hooks.restore()
     metrics = tracing.layer_metrics(tracer, hooks.missing)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -264,6 +265,43 @@ class TestRun:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("schema_error:")
+        assert not os.path.exists(mini_run["out"])
+
+    def test_non_string_replayed_response_fails_before_any_run_file(
+        self, mini_run, tmp_path, capsys
+    ):
+        argv = ("run", "--config", mini_run["config"], "--benchmark", mini_run["bench"],
+                "--sim", "stub")
+        recorded = tmp_path / "recorded"
+        assert run_cli(*argv, "--out", str(recorded),
+                       "--backend", "scripted:%s" % mini_run["rules"]) == 0
+        lines = (recorded / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "response_text": 5})
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = run_cli(*argv, "--out", mini_run["out"], "--backend", "replay:%s" % transcript)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("schema_error: %s:1:" % transcript)
+        assert not os.path.exists(mini_run["out"])
+
+    def test_bad_template_placeholder_fails_before_any_run_file(
+        self, mini_run, tmp_path, capsys
+    ):
+        templates = tmp_path / "templates"
+        shutil.copytree(os.path.join(os.path.dirname(cli.__file__), "templates"), templates)
+        (templates / "base" / "direct.txt").write_text(
+            "{description}\n{bogus}\n{references}\n", encoding="utf-8"
+        )
+        rc = run_cli(
+            "run", "--config", mini_run["config"], "--benchmark", mini_run["bench"],
+            "--out", mini_run["out"], "--backend", "scripted:%s" % mini_run["rules"],
+            "--sim", "stub", "--templates", str(templates),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema_error: template base/direct ")
+        assert "bogus" in err
         assert not os.path.exists(mini_run["out"])
 
     def test_transcript_alone_marks_a_run(self, mini_run, capsys):

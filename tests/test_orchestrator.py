@@ -15,6 +15,7 @@ from conftest import (
     TOY_BENCH,
     FakeSimulator,
     make_problem,
+    trial_collaborators,
 )
 from verimoa import __version__
 from verimoa.agents import CANDIDATE_MARKER_RE
@@ -89,15 +90,16 @@ def widget_traces(run_dir, trials):
 def run_one(tmp_path, config=None, backend=None, sim=None, **kwargs):
     """Run one trial of the widget problem; returns its trace events."""
     trace = str(tmp_path / "trace.jsonl")
+    config = config or small_config()
     run_trial(
         make_problem(),
-        config or small_config(),
+        config,
         backend or happy_backend(),
         sim or FakeSimulator(),
         seed=7,
         trial_index=0,
         trace_path=trace,
-        **kwargs,
+        **trial_collaborators(config) | kwargs,
     )
     return read_trace(trace)
 
@@ -169,6 +171,7 @@ class TestEventOrder:
             run_trial(
                 make_problem(), small_config(), happy_backend(), FakeSimulator(),
                 seed=7, trial_index=0, trace_path=trace,
+                **trial_collaborators(small_config()),
             )
             paths.append(trace)
         with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
@@ -332,6 +335,20 @@ class TestDegradation:
         assert len(errors) == 6
         assert all(e["error_code"] == "backend_exhausted" for e in errors)
 
+    def test_failed_slot_keeps_the_calls_and_checks_it_paid_for(self, tmp_path):
+        # stage1 is answered and checked, then stage2 misses.
+        backend = RuleBackend([ResponseRule(text=CPP_REPLY, tag_contains="stage1")])
+        config = small_config(proposer_layers=1, layer_width=1, mixture=("Cpp",))
+        events = run_one(tmp_path, config=config, backend=backend)
+        assert [e["event"] for e in events] == [
+            "trial_start", "llm_call", "checker", "agent_error", "layer_stats",
+            "trial_error",
+        ]
+        assert events[1]["stage"] == "stage1"
+        assert events[1]["response_text"] == CPP_REPLY
+        assert events[2]["status"] == "pass"
+        assert events[3]["error_code"] == "transcript_miss"
+
     def test_run_benchmark_degrades_failed_trials(self, tmp_path):
         bench = Benchmark(name="one", problems=(make_problem(),))
         config = small_config(trials=2)
@@ -465,7 +482,7 @@ class TestGateCalls:
                 problem, config, load_scripted(PROGRESSIVE_RULES), sim,
                 seed=config.random_seed, trial_index=0,
                 trace_path=str(tmp_path / problem.id / "trace.jsonl"),
-                run_functional=run_functional,
+                run_functional=run_functional, **trial_collaborators(config),
             )
         assert sim.calls == expected
 
