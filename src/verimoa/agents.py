@@ -7,6 +7,9 @@ Three proposer paths plus the final aggregator:
   Py       stage 2 translates the model to HDL with cached HDL references.
   Aggregator -- merges the final TopN into the answer.
 
+Every LLM exchange is one Caller.ask: it formats the template, sends the
+request and records the answer in the slot's (or aggregator's) prompts.
+
 Stage-1 prompts carry only same-language intermediate references and
 stage-2 prompts carry only HDL references; layer-1 prompts carry no cached
 material at all.  Reference blocks embed candidate markers so transcript
@@ -44,6 +47,7 @@ from .scoring import QualityScore, ScoreConstants, score_from_facts
 from .simulator import (
     SimPhase,
     WorkspacePool,
+    check_template,
     split_template,
     run_in_session,
     stub_script_cmd,
@@ -74,8 +78,6 @@ SYSTEM_PROMPTS = {
     "aggregator": "You are an expert digital hardware engineer who merges "
                   "candidate Verilog designs into one superior implementation.",
 }
-
-_FENCE_TAG = {IntermediateLanguage.CPP: "cpp", IntermediateLanguage.PYTHON: "python"}
 
 HDL_REFS_HEADER = "Reference HDL implementations from earlier layers, best first:"
 INT_REFS_HEADERS = {
@@ -123,7 +125,7 @@ def format_intermediate_references(
             % (
                 candidate_marker(entry.id),
                 entry.score.value,
-                _FENCE_TAG[language],
+                language.value,
                 entry.intermediate,
             )
         )
@@ -221,8 +223,8 @@ class IntermediateChecker:
     )
 
     def __post_init__(self) -> None:
-        if self.max_rounds > 0 and "{source}" not in self.check_cmd:
-            raise ValueError("check_cmd needs a {source} placeholder")
+        if self.max_rounds > 0:
+            check_template("check_cmd", self.check_cmd, "{source}")
 
     def run(self, source: str) -> tuple[str, str]:
         """Check one intermediate; returns (pass|fail|error, diagnostics).
@@ -265,57 +267,55 @@ def stub_checker(language: IntermediateLanguage, max_rounds: int = 1) -> Interme
     )
 
 
-def _call(
-    backend,
-    stage: str,
-    system_prompt: str,
-    user_prompt: str,
-    sampling: Sampling,
-    tag_prefix: str,
-    fence: str,
-) -> PromptRecord:
-    tag = "%s/%s" % (tag_prefix, stage)
-    response = backend.generate(
-        GenerationRequest(
-            system_prompt=system_prompt,
-            user_prompt=user_prompt,
-            temperature=sampling.temperature,
-            top_p=sampling.top_p,
-            request_tag=tag,
+# The fence each role's answer is read from; a language's value is its role.
+_ROLE_FENCE = {"hdl": "verilog", "aggregator": "verilog", "cpp": "cpp", "python": "python"}
+
+
+@dataclass
+class Caller:
+    """One slot's, or the aggregator's, LLM exchanges: each answered ask
+    is appended to prompts, and a request that raises leaves them as they were."""
+
+    backend: object
+    sampling: Sampling
+    tag_prefix: str
+    prompts: list[PromptRecord] = field(default_factory=list)
+
+    def ask(self, stage: str, template: str, role: str, **fields) -> str:
+        """Format template with fields, send it tagged tag_prefix/stage under
+        role's system prompt (a SYSTEM_PROMPTS key); returns the answer's code block."""
+        tag = "%s/%s" % (self.tag_prefix, stage)
+        system, user = SYSTEM_PROMPTS[role], template.format(**fields)
+        response = self.backend.generate(
+            GenerationRequest(
+                system_prompt=system,
+                user_prompt=user,
+                temperature=self.sampling.temperature,
+                top_p=self.sampling.top_p,
+                request_tag=tag,
+            )
         )
-    )
-    return PromptRecord(
-        stage=stage,
-        request_tag=tag,
-        system_prompt=system_prompt,
-        user_prompt=user_prompt,
-        response_text=response.text,
-        extracted_source=extract_code_block(response.text, fence),
-    )
+        source = extract_code_block(response.text, _ROLE_FENCE[role])
+        self.prompts.append(PromptRecord(stage, tag, system, user, response.text, source))
+        return source
 
 
 def run_base_agent(
     spec: AgentSpec,
     problem: DesignProblem,
     hdl_refs: list[HdlCacheEntry],
-    backend,
     layer: int,
-    sampling: Sampling,
-    tag_prefix: str,
-    prompts: list[PromptRecord],
+    caller: Caller,
 ) -> str:
-    """Direct description-to-HDL generation; appends its call to prompts
-    and returns the source."""
+    """Direct description-to-HDL generation; returns the source."""
     assert layer >= 2 or not hdl_refs, "layer 1 receives no references"
-    user = spec.templates["direct"].format(
+    return caller.ask(
+        "direct",
+        spec.templates["direct"],
+        "hdl",
         description=problem.description,
         references=format_hdl_references(hdl_refs),
     )
-    record = _call(
-        backend, "direct", SYSTEM_PROMPTS["hdl"], user, sampling, tag_prefix, "verilog"
-    )
-    prompts.append(record)
-    return record.extracted_source
 
 
 def run_twostage_agent(
@@ -323,70 +323,54 @@ def run_twostage_agent(
     problem: DesignProblem,
     hdl_refs: list[HdlCacheEntry],
     int_refs: list[HdlCacheEntry],
-    backend,
     checker: IntermediateChecker,
     layer: int,
-    sampling: Sampling,
-    tag_prefix: str,
-    prompts: list[PromptRecord],
+    caller: Caller,
     checks: list[CheckerRecord],
 ) -> tuple[str, str]:
     """Two-stage generation through an intermediate language.
 
-    Returns (hdl_source, intermediate_source).  Each answered call is
-    appended to prompts and each check to checks as it arrives, so a
+    Returns (hdl_source, intermediate_source).  Each check is appended to
+    checks as it arrives, like each answered call to caller.prompts, so a
     failing stage 2 leaves them there.  A broken checker downgrades to
     zero refinement rounds rather than failing the agent.
     """
     assert layer >= 2 or (not hdl_refs and not int_refs), "layer 1 receives no references"
     language = PATH_LANGUAGE[spec.path]
-    fence = _FENCE_TAG[language]
     assert all(PATH_LANGUAGE[e.id.path] is language for e in int_refs), (
         "cross-language reference"
     )
 
-    user = spec.templates["stage1"].format(
+    intermediate = caller.ask(
+        "stage1",
+        spec.templates["stage1"],
+        language.value,
         description=problem.description,
         references=format_intermediate_references(int_refs, language),
     )
-    record = _call(
-        backend, "stage1", SYSTEM_PROMPTS[fence], user, sampling, tag_prefix, fence
-    )
-    prompts.append(record)
-    intermediate = record.extracted_source
-
     for round_index in range(1, checker.max_rounds + 1):
         status, diagnostics = checker.run(intermediate)
         checks.append(CheckerRecord(round_index, status, diagnostics))
         if status != "fail":
             break
-        user = spec.templates["stage1_refine"].format(
+        intermediate = caller.ask(
+            "stage1_refine",
+            spec.templates["stage1_refine"],
+            language.value,
             description=problem.description,
             intermediate=intermediate,
             feedback=diagnostics[-FEEDBACK_TAIL_CHARS:],
         )
-        record = _call(
-            backend,
-            "stage1_refine",
-            SYSTEM_PROMPTS[fence],
-            user,
-            sampling,
-            tag_prefix,
-            fence,
-        )
-        prompts.append(record)
-        intermediate = record.extracted_source
 
-    user = spec.templates["stage2"].format(
+    hdl = caller.ask(
+        "stage2",
+        spec.templates["stage2"],
+        "hdl",
         description=problem.description,
         intermediate=intermediate,
         references=format_hdl_references(hdl_refs),
     )
-    record = _call(
-        backend, "stage2", SYSTEM_PROMPTS["hdl"], user, sampling, tag_prefix, "verilog"
-    )
-    prompts.append(record)
-    return record.extracted_source, intermediate
+    return hdl, intermediate
 
 
 def gated_evaluation(
@@ -434,16 +418,14 @@ def sim_refine(
     source: str,
     problem: DesignProblem,
     sim,
-    backend,
     constants: ScoreConstants,
     templates: Mapping[str, str],
-    sampling: Sampling,
     max_rounds: int,
-    tag_prefix: str,
+    caller: Caller,
     run_functional: bool = True,
     *,
     memo: VerdictMemo,
-) -> tuple[list[RefineRound], list[PromptRecord]]:
+) -> list[RefineRound]:
     """Evaluate a draft and iterate on simulator feedback.
 
     Always returns at least round 0 (the plain evaluation); with
@@ -453,40 +435,32 @@ def sim_refine(
     evaluation propagates simulator errors: an unevaluable draft has no
     score at all.
     """
-    prompts: list[PromptRecord] = []
     score, feedback = gated_evaluation(source, problem, sim, constants, run_functional, memo)
     rounds = [RefineRound(0, source, score)]
     for round_index in range(1, max_rounds + 1):
         if rounds[-1].score.syntax_pass and rounds[-1].score.functional_pass:
             break
-        user = templates["sim_refine"].format(
-            description=problem.description,
-            candidate=rounds[-1].source,
-            feedback=feedback[-FEEDBACK_TAIL_CHARS:],
-        )
         try:
-            record = _call(
-                backend,
+            revised = caller.ask(
                 "sim_refine%d" % round_index,
-                SYSTEM_PROMPTS["hdl"],
-                user,
-                sampling,
-                tag_prefix,
-                "verilog",
+                templates["sim_refine"],
+                "hdl",
+                description=problem.description,
+                candidate=rounds[-1].source,
+                feedback=feedback[-FEEDBACK_TAIL_CHARS:],
             )
         except AuthError:
             raise
         except VerimoaError:
             break
-        prompts.append(record)
         try:
             score, feedback = gated_evaluation(
-                record.extracted_source, problem, sim, constants, run_functional, memo
+                revised, problem, sim, constants, run_functional, memo
             )
         except (SimulatorUnavailableError, WorkspaceError):
             break
-        rounds.append(RefineRound(round_index, record.extracted_source, score))
-    return rounds, prompts
+        rounds.append(RefineRound(round_index, revised, score))
+    return rounds
 
 
 def best_round(rounds: list[RefineRound]) -> RefineRound:
@@ -497,35 +471,26 @@ def best_round(rounds: list[RefineRound]) -> RefineRound:
 def run_aggregator(
     problem: DesignProblem,
     hdl_refs: list[HdlCacheEntry],
-    backend,
     templates: Mapping[str, str],
-    sampling: Sampling,
-    tag_prefix: str,
-) -> tuple[str, list[PromptRecord], bool]:
+    caller: Caller,
+) -> tuple[str, bool]:
     """Synthesize the final answer from the TopN references.
 
-    Returns (source, prompts, fallback_used); on backend failure the
-    highest-ranked cached candidate becomes the answer.  An AuthError
-    propagates.
+    Returns (source, fallback_used); on backend failure the highest-ranked
+    cached candidate becomes the answer.  An AuthError propagates.
     """
     if not hdl_refs:
         raise ValueError("aggregator needs at least one cached reference")
-    user = templates["aggregate"].format(
-        description=problem.description,
-        references=format_hdl_references(hdl_refs),
-    )
     try:
-        record = _call(
-            backend,
+        source = caller.ask(
             "aggregate",
-            SYSTEM_PROMPTS["aggregator"],
-            user,
-            sampling,
-            tag_prefix,
-            "verilog",
+            templates["aggregate"],
+            "aggregator",
+            description=problem.description,
+            references=format_hdl_references(hdl_refs),
         )
     except AuthError:
         raise
     except VerimoaError:
-        return hdl_refs[0].source, [], True
-    return record.extracted_source, [record], False
+        return hdl_refs[0].source, True
+    return source, False

@@ -33,7 +33,7 @@ from .errors import (
 if TYPE_CHECKING:
     import requests
 
-DEFAULT_MAX_TOKENS = 4096
+MAX_TOKENS = 4096  # every request's completion budget
 API_KEY_ENV = "VERIMOA_API_KEY"
 
 
@@ -43,7 +43,6 @@ class GenerationRequest:
     user_prompt: str
     temperature: float = 0.8
     top_p: float = 0.95
-    max_tokens: int = DEFAULT_MAX_TOKENS
     request_tag: str = ""
 
     def __post_init__(self) -> None:
@@ -51,8 +50,6 @@ class GenerationRequest:
             raise ValueError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ class HttpBackend:
             ],
             "temperature": request.temperature,
             "top_p": request.top_p,
-            "max_tokens": request.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
         last_error = "no attempts made"
         for attempt in range(self.max_retries):
@@ -374,7 +371,7 @@ class TranscriptRecorder:
                 "user_prompt": request.user_prompt,
                 "temperature": request.temperature,
                 "top_p": request.top_p,
-                "max_tokens": request.max_tokens,
+                "max_tokens": MAX_TOKENS,
             },
             "response_text": response.text,
         }

@@ -132,14 +132,15 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     benchmark = load_benchmark(args.benchmark)
     templates = load_templates(args.templates) if args.templates else None
-    backend = _build_backend(args, args.out, llm_seats(args.jobs, config))
+    # Everything that can reject the arguments runs before --out is made.
     sim = _build_sim(args)
+    checkers = _build_checkers(args, config.max_stage1_refine_rounds)
+    backend = _build_backend(args, args.out, llm_seats(args.jobs, config))
     # Probe before any output is written; a dead simulator would otherwise
     # degrade every trial into a silent non-pass.
     ok, message = simcheck(sim)
     if not ok:
         raise SimulatorUnavailableError("simulator preflight failed: %s" % message)
-    checkers = _build_checkers(args, config.max_stage1_refine_rounds)
     try:
         run_benchmark(
             benchmark,

@@ -85,7 +85,7 @@ class MemoSimulator(_Wrapper):
             method,
             problem.id,
             problem.testbench_source,
-            tuple(sorted(getattr(problem, "support_files", {}).items())),
+            tuple(sorted(problem.support_files.items())),
             source,
         )
         gate = getattr(self._inner, method)

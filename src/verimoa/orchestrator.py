@@ -2,11 +2,12 @@
 
 Within a trial, layers run strictly in sequence.  All agents of a layer
 run concurrently against an immutable snapshot of the cache; each slot
-evaluates its outputs and hands back its finished trace events and cache
-entries, which the layer barrier writes and inserts in slot order.  The
-trace file therefore has one canonical event order per run, independent
-of thread scheduling, and carries no timing fields -- replay runs are
-byte-identical.
+asks the LLM through its own agents.Caller, evaluates its outputs and
+hands back its finished trace events (its llm_calls read from the
+caller's prompts) and cache entries, which the layer barrier writes and
+inserts in slot order.  The trace file therefore has one canonical event
+order per run, independent of thread scheduling, and carries no timing
+fields -- replay runs are byte-identical.
 
 Each trial runs its layer_width slots on its own workers; the aggregator,
 its refinement and the final evaluation run on the trial's own thread.
@@ -32,11 +33,11 @@ import os
 import statistics
 import sys
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import asdict
 
 from . import __version__
 from .agents import (
     AgentSpec,
+    Caller,
     CheckerRecord,
     IntermediateChecker,
     PromptRecord,
@@ -58,7 +59,7 @@ from .cache import (
     IntermediateLanguage,
     PATH_LANGUAGE,
 )
-from .errors import AuthError, VerimoaError
+from .errors import AuthError, InvariantViolationError, VerimoaError
 from .harness import vendi_score
 from .memo import MemoChecker, MemoSimulator, VerdictMemo
 from .problems import Benchmark, DesignProblem, RunConfig
@@ -84,7 +85,7 @@ class TraceWriter:
 
 
 def _llm_call_event(layer: int, slot: int, record: PromptRecord) -> dict:
-    return {"event": "llm_call", "layer": layer, "slot": slot, **asdict(record)}
+    return {"event": "llm_call", "layer": layer, "slot": slot, **vars(record)}
 
 
 def _run_slot(
@@ -112,14 +113,12 @@ def _run_slot(
     calls and checks it paid for and returns no entries; an AuthError
     propagates.
     """
-    prompts: list[PromptRecord] = []
+    caller = Caller(backend, config.sampling, tag_prefix)
     checks: list[CheckerRecord] = []
     intermediate, rounds, failure = None, [], []
     try:
         if spec.path is AgentPath.BASE:
-            source = run_base_agent(
-                spec, problem, hdl_refs, backend, layer, config.sampling, tag_prefix, prompts
-            )
+            source = run_base_agent(spec, problem, hdl_refs, layer, caller)
         else:
             language = PATH_LANGUAGE[spec.path]
             source, intermediate = run_twostage_agent(
@@ -127,35 +126,29 @@ def _run_slot(
                 problem,
                 hdl_refs,
                 int_refs_by_language[language],
-                backend,
                 checkers[language],
                 layer,
-                config.sampling,
-                tag_prefix,
-                prompts,
+                caller,
                 checks,
             )
-        rounds, refine_prompts = sim_refine(
+        rounds = sim_refine(
             source,
             problem,
             sim,
-            backend,
             config.score_constants,
             spec.templates,
-            config.sampling,
             config.sim_refine_rounds,
-            tag_prefix,
+            caller,
             run_functional,
             memo=memo,
         )
-        prompts.extend(refine_prompts)
     except AuthError:
         raise
     except VerimoaError as exc:
         failure = [{"event": "agent_error", "layer": layer, "slot": spec.slot,
                     "error_code": exc.error_code, "message": str(exc)}]
-    events = [_llm_call_event(layer, spec.slot, record) for record in prompts]
-    events += [{"event": "checker", "layer": layer, "slot": spec.slot, **asdict(check)}
+    events = [_llm_call_event(layer, spec.slot, record) for record in caller.prompts]
+    events += [{"event": "checker", "layer": layer, "slot": spec.slot, **vars(check)}
                for check in checks] + failure
     entries = []
     for rnd in rounds:
@@ -256,11 +249,11 @@ def run_trial(
             writer.write({"event": "trial_error", "error_code": "pipeline_failure",
                           "message": "no scorable candidates reached aggregation"})
             return
-        agg_tag = "%s/t%d/L%d/S1" % (problem.id, trial_index, agg_layer)
-        source, agg_prompts, fallback = run_aggregator(
-            problem, window, backend, templates["aggregator"], config.sampling, agg_tag
+        caller = Caller(
+            backend, config.sampling, "%s/t%d/L%d/S1" % (problem.id, trial_index, agg_layer)
         )
-        for record in agg_prompts:
+        source, fallback = run_aggregator(problem, window, templates["aggregator"], caller)
+        for record in caller.prompts:
             writer.write(_llm_call_event(agg_layer, 1, record))
         writer.write(
             {
@@ -276,20 +269,19 @@ def run_trial(
         # With no rounds to run, one evaluation under the functional gate is
         # final; a compile-only loop's chosen round is evaluated again.
         functional_gate = run_functional or config.sim_refine_rounds == 0
-        rounds, refine_prompts = sim_refine(
+        written = len(caller.prompts)
+        rounds = sim_refine(
             source,
             problem,
             sim,
-            backend,
             config.score_constants,
             templates["aggregator"],
-            config.sampling,
             config.sim_refine_rounds,
-            agg_tag,
+            caller,
             functional_gate,
             memo=memo,
         )
-        for record in refine_prompts:
+        for record in caller.prompts[written:]:
             writer.write(_llm_call_event(agg_layer, 1, record))
         chosen = best_round(rounds)
         final_score = chosen.score
@@ -358,7 +350,9 @@ def write_manifest(
 
 def llm_seats(jobs: int, config: RunConfig) -> int:
     """The most LLM requests run_benchmark keeps in flight: jobs x layer_width."""
-    return max(1, jobs) * config.layer_width
+    if jobs < 1:
+        raise InvariantViolationError("jobs must be >= 1, got %d" % jobs)
+    return jobs * config.layer_width
 
 
 def run_benchmark(

@@ -34,9 +34,9 @@ from importlib import resources
 
 from .backends import API_KEY_ENV
 from .errors import InvariantViolationError, SimulatorUnavailableError, WorkspaceError
+from .problems import DesignProblem
 
 DEFAULT_PASS_MARKER = "ALL_TESTS_PASSED"
-DEFAULT_TIMEOUT_MS = 10_000
 # evaluations one ExternalSimulator runs at once: one per CPU
 MAX_CONCURRENCY = os.cpu_count() or 4
 
@@ -50,20 +50,13 @@ class SimulatorConfig:
     run_cmd: str
     pass_marker: str = DEFAULT_PASS_MARKER
     workspace_root: str | None = None
-    timeout_ms: int = DEFAULT_TIMEOUT_MS
     keep_failed_workspaces: bool = False
 
     def validate(self) -> None:
-        if "{sources}" not in self.compile_cmd or "{out}" not in self.compile_cmd:
-            raise InvariantViolationError(
-                "compile_cmd needs {sources} and {out} placeholders"
-            )
-        if "{out}" not in self.run_cmd:
-            raise InvariantViolationError("run_cmd needs an {out} placeholder")
+        check_template("compile_cmd", self.compile_cmd, "{sources}", "{out}")
+        check_template("run_cmd", self.run_cmd, "{out}")
         if not self.pass_marker:
             raise InvariantViolationError("pass_marker must be non-empty")
-        if self.timeout_ms < 1:
-            raise InvariantViolationError("timeout_ms must be positive")
 
 
 class SimPhase(Enum):
@@ -96,6 +89,18 @@ def truncate_log(log: str) -> str:
 def split_template(template: str) -> tuple[str, ...]:
     """shlex.split, once per command template: a run uses a handful."""
     return tuple(shlex.split(template))
+
+
+def check_template(name: str, template: str, *placeholders: str) -> None:
+    """A command template that shlex cannot split, or that lacks one of
+    placeholders, is an InvariantViolationError naming its field."""
+    try:
+        split_template(template)
+    except ValueError as exc:
+        raise InvariantViolationError("%s does not parse: %s" % (name, exc))
+    for placeholder in placeholders:
+        if placeholder not in template:
+            raise InvariantViolationError("%s needs a %s placeholder" % (name, placeholder))
 
 
 def _build_argv(template: str, sources: list[str], out: str) -> list[str]:
@@ -320,11 +325,10 @@ class ExternalSimulator:
         files = [("candidate.v", candidate_source)]
         files += [
             (os.path.basename(name), content)
-            for name, content in sorted(getattr(problem, "support_files", {}).items())
+            for name, content in sorted(problem.support_files.items())
         ]
         if run:
             files.append(("testbench.v", problem.testbench_source))
-        timeout_ms = getattr(problem, "timeout_ms", None) or self.config.timeout_ms
         # "./" so that a run_cmd of just {out} executes the file here
         # rather than searching PATH.
         out = "./sim.out" if run else "./design.out"
@@ -333,12 +337,12 @@ class ExternalSimulator:
             verdict = None
             try:
                 argv = _build_argv(self.config.compile_cmd, [name for name, _ in files], out)
-                code, log, timed_out, duration = self._run(argv, workspace, timeout_ms)
+                code, log, timed_out, duration = self._run(argv, workspace, problem.timeout_ms)
                 phase, passed = SimPhase.COMPILE, code == 0 and not timed_out
                 if run and passed:
                     argv = _build_argv(self.config.run_cmd, [], out)
-                    code, log, timed_out, run_ms = self._run(argv, workspace, timeout_ms)
-                    marker = getattr(problem, "pass_marker", None) or self.config.pass_marker
+                    code, log, timed_out, run_ms = self._run(argv, workspace, problem.timeout_ms)
+                    marker = problem.pass_marker or self.config.pass_marker
                     phase, passed = SimPhase.RUN, code == 0 and not timed_out and marker in log
                     duration += run_ms
                 verdict = SimVerdict(phase, passed, truncate_log(log), duration, timed_out)
@@ -392,12 +396,12 @@ def stub_simulator(**overrides) -> ExternalSimulator:
     return ExternalSimulator(replace(cfg, **overrides))
 
 
-@dataclass(frozen=True)
-class _SampleProblem:
-    id: str = "simcheck-sample"
-    top_module: str = "simcheck_and2"
-    timeout_ms: int = 20_000
-    testbench_source: str = """
+_SAMPLE_PROBLEM = DesignProblem(
+    id="simcheck-sample",
+    description="A two-input AND gate.",
+    top_module="simcheck_and2",
+    timeout_ms=20_000,
+    testbench_source="""
 module simcheck_and2_tb;
   reg a, b;
   wire y;
@@ -413,7 +417,8 @@ module simcheck_and2_tb;
     $finish;
   end
 endmodule
-"""
+""",
+)
 
 
 SAMPLE_DESIGN = """
@@ -425,11 +430,10 @@ endmodule
 
 def simcheck(sim: ExternalSimulator) -> tuple[bool, str]:
     """Compile and run a known-good sample through the configured simulator."""
-    problem = _SampleProblem()
-    verdict = sim.syntax_test(SAMPLE_DESIGN, problem)
+    verdict = sim.syntax_test(SAMPLE_DESIGN, _SAMPLE_PROBLEM)
     if not verdict.passed:
         return False, "compile failed:\n%s" % verdict.log
-    verdict = sim.function_test(SAMPLE_DESIGN, problem)
+    verdict = sim.function_test(SAMPLE_DESIGN, _SAMPLE_PROBLEM)
     if not verdict.passed:
         return False, "run failed:\n%s" % verdict.log
     return True, "simulator ok"

@@ -21,6 +21,7 @@ from verimoa.agents import (
     TEMPLATE_NAMES,
     TEMPLATE_PLACEHOLDERS,
     AgentSpec,
+    Caller,
     CheckerRecord,
     IntermediateChecker,
     best_round,
@@ -38,7 +39,13 @@ from verimoa.agents import (
 from verimoa.backends import ResponseRule, RuleBackend, ScriptedBackend
 from verimoa.cache import AgentPath, CandidateId, IntermediateLanguage
 from verimoa.agents import RefineRound
-from verimoa.errors import AuthError, MissingFileError, SchemaError, SimulatorUnavailableError
+from verimoa.errors import (
+    AuthError,
+    InvariantViolationError,
+    MissingFileError,
+    SchemaError,
+    SimulatorUnavailableError,
+)
 from verimoa.memo import VerdictMemo
 from verimoa.problems import Sampling
 from verimoa.scoring import ScoreBranch, ScoreConstants
@@ -180,13 +187,12 @@ class TestBaseAgent:
     def test_prompt_carries_description_and_references(self):
         backend = ScriptedBackend([verilog_reply()])
         refs = [make_entry(1, 1, 0.8, source="module ref; endmodule")]
-        prompts = []
+        caller = Caller(backend, SAMPLING, "widget/t1/L2/S1")
         source = run_base_agent(
-            spec_for(AgentPath.BASE), make_problem(), refs, backend,
-            layer=2, sampling=SAMPLING, tag_prefix="widget/t1/L2/S1", prompts=prompts,
+            spec_for(AgentPath.BASE), make_problem(), refs, layer=2, caller=caller
         )
         assert source == CLEAN_MODULE.strip("\n")
-        record = prompts[0]
+        record = caller.prompts[0]
         assert record.stage == "direct"
         assert record.request_tag == "widget/t1/L2/S1/direct"
         assert record.system_prompt == SYSTEM_PROMPTS["hdl"]
@@ -197,32 +203,26 @@ class TestBaseAgent:
         backend = ScriptedBackend([verilog_reply()])
         with pytest.raises(AssertionError):
             run_base_agent(
-                spec_for(AgentPath.BASE), make_problem(),
-                [make_entry(1, 1, 0.8)], backend,
-                layer=1, sampling=SAMPLING, tag_prefix="p/t1/L1/S1", prompts=[],
+                spec_for(AgentPath.BASE), make_problem(), [make_entry(1, 1, 0.8)],
+                layer=1, caller=Caller(backend, SAMPLING, "p/t1/L1/S1"),
             )
 
     def test_layer_one_prompt_has_no_markers(self):
         backend = ScriptedBackend([verilog_reply()])
-        prompts = []
-        run_base_agent(
-            spec_for(AgentPath.BASE), make_problem(), [], backend,
-            layer=1, sampling=SAMPLING, tag_prefix="p/t1/L1/S1", prompts=prompts,
-        )
-        assert not CANDIDATE_MARKER_RE.search(prompts[0].user_prompt)
+        caller = Caller(backend, SAMPLING, "p/t1/L1/S1")
+        run_base_agent(spec_for(AgentPath.BASE), make_problem(), [], layer=1, caller=caller)
+        assert not CANDIDATE_MARKER_RE.search(caller.prompts[0].user_prompt)
 
 
 class TestTwoStageAgent:
     def run(self, checker, responses, int_refs=(), hdl_refs=(), layer=2):
-        backend = ScriptedBackend(list(responses))
-        prompts, checks = [], []
+        caller = Caller(ScriptedBackend(list(responses)), SAMPLING, "p/t1/L%d/S2" % layer)
+        checks = []
         hdl, intermediate = run_twostage_agent(
             spec_for(AgentPath.CPP), make_problem(), list(hdl_refs),
-            list(int_refs), backend, checker,
-            layer=layer, sampling=SAMPLING, tag_prefix="p/t1/L%d/S2" % layer,
-            prompts=prompts, checks=checks,
+            list(int_refs), checker, layer=layer, caller=caller, checks=checks,
         )
-        return hdl, intermediate, prompts, checks
+        return hdl, intermediate, caller.prompts, checks
 
     def test_clean_pass_through(self):
         responses = ["```cpp\nint model() { return 1; }\n```", verilog_reply()]
@@ -321,13 +321,19 @@ class TestTwoStageAgent:
 
 class TestIntermediateChecker:
     def test_placeholder_required_when_rounds_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolationError):
             IntermediateChecker(
                 language=IntermediateLanguage.CPP, check_cmd="lint", max_rounds=1
             )
         IntermediateChecker(
             language=IntermediateLanguage.CPP, check_cmd="lint", max_rounds=0
         )
+
+    def test_unparseable_command_is_rejected_up_front(self):
+        with pytest.raises(InvariantViolationError, match="check_cmd does not parse"):
+            IntermediateChecker(
+                language=IntermediateLanguage.PYTHON, check_cmd='awk "{source}'
+            )
 
     def test_stub_pass_and_fail(self):
         checker = stub_checker(IntermediateLanguage.PYTHON)
@@ -475,10 +481,12 @@ class RaisingSimulator(FakeSimulator):
 
 class TestSimRefine:
     def refine(self, source, backend, sim, max_rounds=2, run_functional=True):
-        return sim_refine(
-            source, make_problem(), sim, backend, ScoreConstants(), TEMPLATES,
-            SAMPLING, max_rounds, "p/t1/L1/S1", run_functional, memo=VerdictMemo(),
+        caller = Caller(backend, SAMPLING, "p/t1/L1/S1")
+        rounds = sim_refine(
+            source, make_problem(), sim, ScoreConstants(), TEMPLATES,
+            max_rounds, caller, run_functional, memo=VerdictMemo(),
         )
+        return rounds, caller.prompts
 
     def test_passing_draft_stops_immediately(self, fake_sim):
         rounds, prompts = self.refine(
@@ -564,14 +572,14 @@ class TestAggregator:
         refs = [make_entry(1, 1, 1.0, source="module best; endmodule")]
         with pytest.raises(AuthError):
             run_aggregator(
-                make_problem(), refs, AuthFailingBackend(), TEMPLATES, SAMPLING,
-                "p/t1/L3/S1",
+                make_problem(), refs, TEMPLATES,
+                Caller(AuthFailingBackend(), SAMPLING, "p/t1/L3/S1"),
             )
 
     def test_requires_references(self):
         with pytest.raises(ValueError):
             run_aggregator(
-                make_problem(), [], ScriptedBackend([]), TEMPLATES, SAMPLING, "p/t1/L3/S1",
+                make_problem(), [], TEMPLATES, Caller(ScriptedBackend([]), SAMPLING, "p/t1/L3/S1")
             )
 
     def test_merges_references(self):
@@ -579,13 +587,11 @@ class TestAggregator:
             make_entry(2, 1, 1.0, source="module a; endmodule"),
             make_entry(1, 2, 0.8, source="module b; endmodule"),
         ]
-        backend = ScriptedBackend([verilog_reply()])
-        source, prompts, fallback = run_aggregator(
-            make_problem(), refs, backend, TEMPLATES, SAMPLING, "p/t1/L3/S1",
-        )
+        caller = Caller(ScriptedBackend([verilog_reply()]), SAMPLING, "p/t1/L3/S1")
+        source, fallback = run_aggregator(make_problem(), refs, TEMPLATES, caller)
         assert not fallback
         assert source == CLEAN_MODULE.strip("\n")
-        record = prompts[0]
+        record = caller.prompts[0]
         assert record.stage == "aggregate"
         assert record.request_tag == "p/t1/L3/S1/aggregate"
         assert record.system_prompt == SYSTEM_PROMPTS["aggregator"]
@@ -597,9 +603,8 @@ class TestAggregator:
             make_entry(2, 1, 1.0, source="module best; endmodule"),
             make_entry(1, 2, 0.8, source="module other; endmodule"),
         ]
-        source, prompts, fallback = run_aggregator(
-            make_problem(), refs, ScriptedBackend([]), TEMPLATES, SAMPLING, "p/t1/L3/S1",
-        )
+        caller = Caller(ScriptedBackend([]), SAMPLING, "p/t1/L3/S1")
+        source, fallback = run_aggregator(make_problem(), refs, TEMPLATES, caller)
         assert fallback
         assert source == "module best; endmodule"
-        assert prompts == []
+        assert caller.prompts == []

@@ -43,7 +43,6 @@ class TestRequest:
             {"temperature": -0.1},
             {"top_p": 0.0},
             {"top_p": 1.5},
-            {"max_tokens": 0},
         ],
     )
     def test_bounds(self, kwargs):
@@ -54,7 +53,6 @@ class TestRequest:
         request = req()
         assert request.temperature == 0.8
         assert request.top_p == 0.95
-        assert request.max_tokens == 4096
 
 
 class TestRequestKey:
@@ -63,8 +61,8 @@ class TestRequestKey:
         assert len(request_key(req())) == 64
 
     def test_tag_and_max_tokens_excluded(self):
-        a = request_key(req(tag="a", max_tokens=100))
-        b = request_key(req(tag="b", max_tokens=200))
+        a = request_key(req(tag="a"))
+        b = request_key(req(tag="b"))
         assert a == b
 
     def test_sampling_and_prompts_included(self):
@@ -215,6 +213,7 @@ class TestReplay:
             record = json.loads(fh.read())
         assert record["key"] == request_key(req())
         assert record["request"]["user_prompt"] == "design a widget"
+        assert record["request"]["max_tokens"] == 4096
         assert record["response_text"] == "x"
 
     def test_first_record_wins_on_duplicate_keys(self, tmp_path):
@@ -382,6 +381,7 @@ class TestHttpBackend:
         body = session.calls[0]["json"]
         assert body["model"] == "m1"
         assert body["temperature"] == 0.2
+        assert body["max_tokens"] == 4096
         assert [m["role"] for m in body["messages"]] == ["system", "user"]
         assert session.calls[0]["headers"]["Authorization"] == "Bearer k-123"
 

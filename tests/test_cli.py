@@ -304,6 +304,40 @@ class TestRun:
         assert "bogus" in err
         assert not os.path.exists(mini_run["out"])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--py-check-cmd", 'awk "{source}'), "check_cmd does not parse"),
+            (("--cpp-check-cmd", "lint"), "check_cmd needs a {source} placeholder"),
+            (("--compile-cmd", 'awk "{sources} -o {out}'), "compile_cmd does not parse"),
+        ],
+        ids=["unparseable-check", "check-without-source", "unparseable-compile"],
+    )
+    def test_bad_command_template_fails_before_any_run_file(
+        self, mini_run, capsys, flags, message
+    ):
+        rc = run_cli(
+            "run", "--config", mini_run["config"], "--benchmark", mini_run["bench"],
+            "--out", mini_run["out"], "--backend", "scripted:%s" % mini_run["rules"],
+            "--sim", "stub", *flags,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invariant_violation: %s" % message)
+        assert len(err.splitlines()) == 1
+        assert not os.path.exists(mini_run["out"])
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_fails_before_any_run_file(self, mini_run, capsys, jobs):
+        rc = run_cli(
+            "run", "--config", mini_run["config"], "--benchmark", mini_run["bench"],
+            "--out", mini_run["out"], "--backend", "scripted:%s" % mini_run["rules"],
+            "--sim", "stub", "--jobs", jobs,
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "invariant_violation: jobs must be >= 1, got %s\n" % jobs
+        assert not os.path.exists(mini_run["out"])
+
     def test_transcript_alone_marks_a_run(self, mini_run, capsys):
         os.makedirs(mini_run["out"])
         with open(os.path.join(mini_run["out"], "transcript.jsonl"), "w") as fh:

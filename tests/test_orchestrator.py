@@ -27,7 +27,7 @@ from verimoa.backends import (
     ScriptedBackend,
     load_scripted,
 )
-from verimoa.errors import AuthError, BackendExhaustedError
+from verimoa.errors import AuthError, BackendExhaustedError, InvariantViolationError
 from verimoa.orchestrator import run_benchmark, run_trial, write_manifest
 from verimoa.problems import (
     Benchmark,
@@ -710,6 +710,15 @@ class TestScheduler:
         backend = HttpBackend("http://unit.test/v1/chat", "m1", api_key="k", session=session)
         run_benchmark(bench, config, backend, FakeSimulator(), str(tmp_path / "run"), jobs=4)
         assert 6 < session.peak <= 4 * config.layer_width
+
+    def test_jobs_below_one_is_refused_before_any_file(self, tmp_path):
+        bench = Benchmark(name="one", problems=(make_problem(),))
+        backend = PeakBackend()
+        with pytest.raises(InvariantViolationError, match="jobs must be >= 1"):
+            run_benchmark(bench, small_config(), backend, FakeSimulator(),
+                          str(tmp_path / "run"), jobs=0)
+        assert not os.path.exists(tmp_path / "run")
+        assert backend.peak == 0
 
     def test_auth_error_stops_the_run(self, tmp_path):
         backend = AuthFailingBackend()

@@ -51,8 +51,8 @@ class TestConfig:
             {"compile_cmd": "cc {sources} -o {out}", "run_cmd": "run it"},
             {"compile_cmd": "cc {sources} -o {out}", "run_cmd": "run {out}",
              "pass_marker": ""},
-            {"compile_cmd": "cc {sources} -o {out}", "run_cmd": "run {out}",
-             "timeout_ms": 0},
+            {"compile_cmd": 'cc "{sources} -o {out}', "run_cmd": "run {out}"},
+            {"compile_cmd": "cc {sources} -o {out}", "run_cmd": "run '{out}"},
         ],
     )
     def test_rejects_bad_shapes(self, kwargs):
