@@ -79,11 +79,10 @@ SYSTEM_PROMPTS = {
                   "candidate Verilog designs into one superior implementation.",
 }
 
-HDL_REFS_HEADER = "Reference HDL implementations from earlier layers, best first:"
-INT_REFS_HEADERS = {
-    IntermediateLanguage.CPP: (
-        "Reference C++ behavior models from earlier layers, best first:"
-    ),
+# Keyed by the references' intermediate language; None for HDL references.
+REFS_HEADERS = {
+    None: "Reference HDL implementations from earlier layers, best first:",
+    IntermediateLanguage.CPP: "Reference C++ behavior models from earlier layers, best first:",
     IntermediateLanguage.PYTHON: (
         "Reference Python behavior models from earlier layers, best first:"
     ),
@@ -101,32 +100,22 @@ def candidate_marker(cid) -> str:
     )
 
 
-def format_hdl_references(entries: list[HdlCacheEntry]) -> str:
-    if not entries:
-        return ""
-    parts = [HDL_REFS_HEADER]
-    for entry in entries:
-        parts.append(
-            "%s quality %.3f\n```verilog\n%s\n```"
-            % (candidate_marker(entry.id), entry.score.value, entry.source)
-        )
-    return "\n\n".join(parts)
-
-
-def format_intermediate_references(
-    entries: list[HdlCacheEntry], language: IntermediateLanguage
+def format_references(
+    entries: list[HdlCacheEntry], language: IntermediateLanguage | None = None
 ) -> str:
+    """The references block of a prompt: each entry's HDL source, or with a
+    language its intermediate model, best first."""
     if not entries:
         return ""
-    parts = [INT_REFS_HEADERS[language]]
+    parts = [REFS_HEADERS[language]]
     for entry in entries:
         parts.append(
             "%s quality %.3f\n```%s\n%s\n```"
             % (
                 candidate_marker(entry.id),
                 entry.score.value,
-                language.value,
-                entry.intermediate,
+                language.value if language else "verilog",
+                entry.intermediate if language else entry.source,
             )
         )
     return "\n\n".join(parts)
@@ -314,7 +303,7 @@ def run_base_agent(
         spec.templates["direct"],
         "hdl",
         description=problem.description,
-        references=format_hdl_references(hdl_refs),
+        references=format_references(hdl_refs),
     )
 
 
@@ -346,7 +335,7 @@ def run_twostage_agent(
         spec.templates["stage1"],
         language.value,
         description=problem.description,
-        references=format_intermediate_references(int_refs, language),
+        references=format_references(int_refs, language),
     )
     for round_index in range(1, checker.max_rounds + 1):
         status, diagnostics = checker.run(intermediate)
@@ -368,7 +357,7 @@ def run_twostage_agent(
         "hdl",
         description=problem.description,
         intermediate=intermediate,
-        references=format_hdl_references(hdl_refs),
+        references=format_references(hdl_refs),
     )
     return hdl, intermediate
 
@@ -487,7 +476,7 @@ def run_aggregator(
             templates["aggregate"],
             "aggregator",
             description=problem.description,
-            references=format_hdl_references(hdl_refs),
+            references=format_references(hdl_refs),
         )
     except AuthError:
         raise

@@ -105,7 +105,6 @@ def _build_backend(args, run_dir: str, seats: int) -> TranscriptRecorder:
         raise _UsageError(
             "--backend must be http, replay:<file>, or scripted:<file>"
         )
-    os.makedirs(run_dir, exist_ok=True)
     return TranscriptRecorder(backend, os.path.join(run_dir, "transcript.jsonl"))
 
 

@@ -189,7 +189,6 @@ def run_trial(
     this thread writes and inserts them in slot order at each barrier, so
     the trace order does not depend on which worker ran what.
     """
-    config.validate()
     similarity: dict = {}
 
     specs = [
@@ -379,8 +378,6 @@ def run_benchmark(
     trial_error, a non-pass.  The first error a trial raises (an AuthError,
     say) cancels the queued trials and is re-raised.
     """
-    benchmark.validate()
-    config.validate()
     templates = templates or load_templates()
     if checkers is None:
         checkers = {

@@ -46,7 +46,7 @@ class DesignProblem:
     pass_marker: str | None = None
     support_files: dict[str, str] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.id:
             raise InvariantViolationError("problem id must be non-empty")
         if not self.description:
@@ -74,12 +74,11 @@ class Benchmark:
     name: str
     problems: tuple[DesignProblem, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.problems:
             raise InvariantViolationError("benchmark has no problems")
         seen: set[str] = set()
         for problem in self.problems:
-            problem.validate()
             if problem.id in seen:
                 raise DuplicateProblemIdError("duplicate problem id %r" % problem.id)
             seen.add(problem.id)
@@ -149,7 +148,7 @@ def load_problem(problem_dir: str, expected_id: str | None = None) -> DesignProb
         name: _read_text(os.path.join(problem_dir, name), pid)
         for name in support_names
     }
-    problem = DesignProblem(
+    return DesignProblem(
         id=pid,
         description=_read_text(os.path.join(problem_dir, "spec.md"), pid),
         testbench_source=_read_text(os.path.join(problem_dir, "testbench.v"), pid),
@@ -158,8 +157,6 @@ def load_problem(problem_dir: str, expected_id: str | None = None) -> DesignProb
         pass_marker=marker,
         support_files=support,
     )
-    problem.validate()
-    return problem
 
 
 def load_benchmark(root_path: str) -> Benchmark:
@@ -175,49 +172,8 @@ def load_benchmark(root_path: str) -> Benchmark:
         raise MalformedIndexError(
             "%s: field 'problems' must be a non-empty list of ids" % index_path
         )
-    seen: set[str] = set()
-    problems = []
-    for pid in ids:
-        if pid in seen:
-            raise DuplicateProblemIdError(
-                "%s: problem id %r listed twice" % (index_path, pid)
-            )
-        seen.add(pid)
-        problems.append(load_problem(os.path.join(root_path, pid), pid))
-    benchmark = Benchmark(name=name, problems=tuple(problems))
-    benchmark.validate()
-    return benchmark
-
-
-def save_benchmark(benchmark: Benchmark, root_path: str) -> None:
-    benchmark.validate()
-    os.makedirs(root_path, exist_ok=True)
-    index = {"name": benchmark.name, "problems": [p.id for p in benchmark.problems]}
-    with open(os.path.join(root_path, "benchmark.json"), "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for problem in benchmark.problems:
-        pdir = os.path.join(root_path, problem.id)
-        os.makedirs(pdir, exist_ok=True)
-        meta: dict = {
-            "id": problem.id,
-            "top_module": problem.top_module,
-            "timeout_ms": problem.timeout_ms,
-        }
-        if problem.pass_marker is not None:
-            meta["pass_marker"] = problem.pass_marker
-        if problem.support_files:
-            meta["support_files"] = sorted(problem.support_files)
-        with open(os.path.join(pdir, "problem.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(pdir, "spec.md"), "w", encoding="utf-8") as fh:
-            fh.write(problem.description)
-        with open(os.path.join(pdir, "testbench.v"), "w", encoding="utf-8") as fh:
-            fh.write(problem.testbench_source)
-        for fname, content in problem.support_files.items():
-            with open(os.path.join(pdir, fname), "w", encoding="utf-8") as fh:
-                fh.write(content)
+    problems = tuple(load_problem(os.path.join(root_path, pid), pid) for pid in ids)
+    return Benchmark(name=name, problems=problems)
 
 
 # -- run configuration ----------------------------------------------------
@@ -238,6 +194,12 @@ class Sampling:
     temperature: float = 0.8
     top_p: float = 0.95
 
+    def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise InvariantViolationError("sampling.temperature must be >= 0")
+        if not 0 < self.top_p <= 1:
+            raise InvariantViolationError("sampling.top_p must be in (0, 1]")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -255,15 +217,13 @@ class RunConfig:
     random_seed: int = 0
 
     def __post_init__(self) -> None:
-        # An out-of-range width gets no default mixture; validate() names it.
-        if not self.mixture and 1 <= self.layer_width <= MAX_LAYER_WIDTH:
-            object.__setattr__(self, "mixture", default_mixture(self.layer_width))
-
-    def validate(self) -> None:
         if self.proposer_layers < 1:
             raise InvariantViolationError("proposer_layers must be >= 1")
+        # Checked before default_mixture builds a tuple this long.
         if not 1 <= self.layer_width <= MAX_LAYER_WIDTH:
             raise InvariantViolationError("layer_width must be in 1..%d" % MAX_LAYER_WIDTH)
+        if not self.mixture:
+            object.__setattr__(self, "mixture", default_mixture(self.layer_width))
         if len(self.mixture) != self.layer_width:
             raise InvariantViolationError(
                 "mixture length %d must equal layer_width %d"
@@ -280,11 +240,6 @@ class RunConfig:
         for name in ("max_sim_refine_rounds", "max_stage1_refine_rounds"):
             if getattr(self, name) < 0:
                 raise InvariantViolationError("%s must be >= 0" % name)
-        if self.sampling.temperature < 0:
-            raise InvariantViolationError("sampling.temperature must be >= 0")
-        if not 0 < self.sampling.top_p <= 1:
-            raise InvariantViolationError("sampling.top_p must be in (0, 1]")
-        self.score_constants.validate()
 
     def mixture_paths(self) -> tuple[AgentPath, ...]:
         return tuple(MIXTURE_TAGS[tag] for tag in self.mixture)
@@ -348,9 +303,7 @@ def _from_json(cls, obj, where: str):
 
 
 def config_from_json(obj: object) -> RunConfig:
-    config = _from_json(RunConfig, obj, "config")
-    config.validate()
-    return config
+    return _from_json(RunConfig, obj, "config")
 
 
 def load_config(path: str) -> RunConfig:

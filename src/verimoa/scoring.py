@@ -9,7 +9,7 @@ Three branches, strictly ordered by value:
      only, tightened below the worst branch-2 score.
 
 The orderings Perfect > FunctionalFail >= floor > SyntaxFail ceiling are
-enforced by ScoreConstants.validate, not by clamping at score time.
+checked when a ScoreConstants is built, not by clamping at score time.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ class ScoreConstants:
         # Rules the caller leaves out keep their default weights.
         weights = {**DEFAULT_RULE_WEIGHTS, **self.rule_weights}
         object.__setattr__(self, "rule_weights", weights)
-
-    def validate(self) -> None:
         caps = (
             self.cap_severe, self.cap_moderate, self.cap_minor,
             self.cap_structure, self.cap_logic, self.cap_format,

@@ -52,7 +52,7 @@ class SimulatorConfig:
     workspace_root: str | None = None
     keep_failed_workspaces: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_template("compile_cmd", self.compile_cmd, "{sources}", "{out}")
         check_template("run_cmd", self.run_cmd, "{out}")
         if not self.pass_marker:
@@ -285,7 +285,6 @@ class WorkspacePool:
 
 class ExternalSimulator:
     def __init__(self, config: SimulatorConfig) -> None:
-        config.validate()
         self.config = config
         self._gate = threading.Semaphore(MAX_CONCURRENCY)
         self._pool = WorkspacePool("verimoa-sim-", config.workspace_root)

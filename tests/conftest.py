@@ -1,6 +1,6 @@
 """Shared fixtures: repo paths, a workspace leak guard, an in-process
-fake simulator, score and facts factories, and the session-scoped
-progressive benchmark runs."""
+fake simulator, problem, bundle, score and facts factories, and the
+session-scoped progressive benchmark runs."""
 
 from __future__ import annotations
 
@@ -153,6 +153,27 @@ def make_problem(pid: str = "widget", **overrides) -> DesignProblem:
     )
     fields.update(overrides)
     return DesignProblem(**fields)
+
+
+def write_problem(root, pid, meta=None, spec="Build the thing.",
+                  testbench="module tb; endmodule", extra_files=()):
+    pdir = root / pid
+    pdir.mkdir()
+    if meta is None:
+        meta = {"id": pid, "top_module": pid, "timeout_ms": 1000}
+    (pdir / "problem.json").write_text(json.dumps(meta), encoding="utf-8")
+    (pdir / "spec.md").write_text(spec, encoding="utf-8")
+    (pdir / "testbench.v").write_text(testbench, encoding="utf-8")
+    for name, content in extra_files:
+        (pdir / name).write_text(content, encoding="utf-8")
+    return str(pdir)
+
+
+def write_benchmark(root, ids):
+    (root / "benchmark.json").write_text(
+        json.dumps({"name": "scratch", "problems": list(ids)}), encoding="utf-8"
+    )
+    return str(root)
 
 
 def trial_collaborators(config) -> dict:

@@ -26,8 +26,7 @@ from verimoa.agents import (
     IntermediateChecker,
     best_round,
     candidate_marker,
-    format_hdl_references,
-    format_intermediate_references,
+    format_references,
     gated_evaluation,
     load_templates,
     run_aggregator,
@@ -104,7 +103,7 @@ class TestMarkers:
 
     def test_hdl_reference_block(self):
         entries = [make_entry(2, 1, 1.0), make_entry(1, 3, 0.65)]
-        block = format_hdl_references(entries)
+        block = format_references(entries)
         assert block.startswith("Reference HDL implementations")
         assert "quality 1.000" in block
         assert "quality 0.650" in block
@@ -112,16 +111,16 @@ class TestMarkers:
         assert block.index("L2.S1") < block.index("L1.S3")
 
     def test_empty_references_render_empty(self):
-        assert format_hdl_references([]) == ""
-        assert format_intermediate_references([], IntermediateLanguage.CPP) == ""
+        assert format_references([]) == ""
+        assert format_references([], IntermediateLanguage.CPP) == ""
 
     def test_intermediate_block_is_language_specific(self):
-        cpp = format_intermediate_references(
+        cpp = format_references(
             [make_int_entry(1, 2, 0.8)], IntermediateLanguage.CPP
         )
         assert "C++ behavior models" in cpp
         assert "```cpp" in cpp
-        py = format_intermediate_references(
+        py = format_references(
             [make_int_entry(1, 3, 0.8, IntermediateLanguage.PYTHON)],
             IntermediateLanguage.PYTHON,
         )

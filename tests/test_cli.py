@@ -16,6 +16,9 @@ from conftest import (
     PROGRESSIVE_DIGESTS,
     PROGRESSIVE_RULES,
     TOY_BENCH,
+    make_problem,
+    write_benchmark,
+    write_problem,
 )
 from verimoa import cli
 from verimoa.cli import main
@@ -28,13 +31,12 @@ VERILOG_REPLY = "```verilog\n%s\n```" % CLEAN_MODULE.strip("\n")
 @pytest.fixture
 def mini_run(tmp_path):
     """A one-problem benchmark, config, and rules file for fast CLI runs."""
-    from verimoa.problems import Benchmark, save_benchmark
-    from conftest import make_problem
-
     bench_dir = tmp_path / "bench"
-    save_benchmark(
-        Benchmark(name="mini", problems=(make_problem(),)), str(bench_dir)
-    )
+    bench_dir.mkdir()
+    problem = make_problem()
+    meta = {"id": problem.id, "top_module": problem.top_module, "timeout_ms": problem.timeout_ms}
+    write_problem(bench_dir, problem.id, meta, problem.description, problem.testbench_source)
+    write_benchmark(bench_dir, [problem.id])
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps({
@@ -147,6 +149,7 @@ class TestRun:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("simulator_unavailable:")
+        assert not os.path.exists(mini_run["out"])
 
     def test_all_trials_failing_is_pipeline_failure(self, mini_run, tmp_path, capsys):
         dead_rules = tmp_path / "dead.jsonl"

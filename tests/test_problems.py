@@ -4,7 +4,14 @@ import os
 
 import pytest
 
-from conftest import FIXTURES, PROGRESSIVE_CONFIG, TOY_BENCH, make_problem
+from conftest import (
+    FIXTURES,
+    PROGRESSIVE_CONFIG,
+    TOY_BENCH,
+    make_problem,
+    write_benchmark,
+    write_problem,
+)
 from verimoa.cache import AgentPath
 from verimoa.errors import (
     DuplicateProblemIdError,
@@ -22,30 +29,9 @@ from verimoa.problems import (
     load_benchmark,
     load_config,
     load_problem,
-    save_benchmark,
 )
 from verimoa.scoring import ScoreConstants
-
-
-def write_problem(root, pid, meta=None, spec="Build the thing.",
-                  testbench="module tb; endmodule", extra_files=()):
-    pdir = root / pid
-    pdir.mkdir()
-    if meta is None:
-        meta = {"id": pid, "top_module": pid, "timeout_ms": 1000}
-    (pdir / "problem.json").write_text(json.dumps(meta), encoding="utf-8")
-    (pdir / "spec.md").write_text(spec, encoding="utf-8")
-    (pdir / "testbench.v").write_text(testbench, encoding="utf-8")
-    for name, content in extra_files:
-        (pdir / name).write_text(content, encoding="utf-8")
-    return str(pdir)
-
-
-def write_benchmark(root, ids):
-    (root / "benchmark.json").write_text(
-        json.dumps({"name": "scratch", "problems": list(ids)}), encoding="utf-8"
-    )
-    return str(root)
+from verimoa.simulator import iverilog_config
 
 
 class TestValidation:
@@ -55,16 +41,16 @@ class TestValidation:
             {"timeout_ms": 0},
         ):
             with pytest.raises(InvariantViolationError):
-                make_problem(**overrides).validate()
+                make_problem(**overrides)
 
     def test_benchmark_needs_problems(self):
         with pytest.raises(InvariantViolationError):
-            Benchmark(name="x", problems=()).validate()
+            Benchmark(name="x", problems=())
 
     def test_benchmark_rejects_duplicate_ids(self):
         problems = (make_problem("a"), make_problem("a"))
         with pytest.raises(DuplicateProblemIdError):
-            Benchmark(name="x", problems=problems).validate()
+            Benchmark(name="x", problems=problems)
 
 
 class TestLoadProblem:
@@ -146,9 +132,8 @@ class TestLoadProblem:
             load_problem(pdir, "p1")
 
     def test_support_files_may_not_share_a_base_name(self):
-        problem = make_problem(support_files={"a/lib.v": "// a", "b/lib.v": "// b"})
         with pytest.raises(SchemaError, match="lib.v"):
-            problem.validate()
+            make_problem(support_files={"a/lib.v": "// a", "b/lib.v": "// b"})
 
     def test_missing_spec(self, tmp_path):
         pdir = write_problem(tmp_path, "p1")
@@ -212,18 +197,6 @@ class TestLoadBenchmark:
         with pytest.raises(DuplicateProblemIdError):
             load_benchmark(str(tmp_path))
 
-    def test_round_trip(self, tmp_path):
-        bench = Benchmark(
-            name="rt",
-            problems=(
-                make_problem("alpha", pass_marker="DONE"),
-                make_problem("beta", support_files={"lib.v": "// shared"}),
-            ),
-        )
-        save_benchmark(bench, str(tmp_path / "out"))
-        loaded = load_benchmark(str(tmp_path / "out"))
-        assert loaded == bench
-
 
 class TestMixture:
     def test_balanced_thirds(self):
@@ -249,7 +222,6 @@ class TestMixture:
 class TestRunConfig:
     def test_defaults(self):
         config = RunConfig()
-        config.validate()
         assert config.proposer_layers == 4
         assert config.layer_width == 6
         assert config.trials == 10
@@ -259,11 +231,11 @@ class TestRunConfig:
 
     def test_mixture_length_must_match_width(self):
         with pytest.raises(InvariantViolationError):
-            RunConfig(layer_width=3, mixture=("Base",)).validate()
+            RunConfig(layer_width=3, mixture=("Base",))
 
     def test_unknown_tag(self):
         with pytest.raises(InvariantViolationError):
-            RunConfig(layer_width=1, mixture=("Rust",)).validate()
+            RunConfig(layer_width=1, mixture=("Rust",))
 
     def test_mixture_paths(self):
         config = RunConfig(layer_width=3, mixture=("Py", "Base", "Cpp"))
@@ -279,13 +251,30 @@ class TestRunConfig:
             {"top_n_hdl": 0},
             {"top_k_intermediate": 0},
             {"max_sim_refine_rounds": -1},
-            {"sampling": Sampling(temperature=-1.0)},
-            {"sampling": Sampling(top_p=0.0)},
+            {"sampling": {"temperature": -1.0}},
+            {"sampling": {"top_p": 0.0}},
         ],
     )
     def test_bounds(self, overrides):
         with pytest.raises(InvariantViolationError):
-            RunConfig(**overrides).validate()
+            # Sampling checks itself, so its cases are built here, not at collection.
+            if "sampling" in overrides:
+                overrides = {"sampling": Sampling(**overrides["sampling"])}
+            RunConfig(**overrides)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dataclasses.replace(RunConfig(), layer_width=0),
+        lambda: iverilog_config(compile_cmd="iverilog"),
+    ],
+    ids=["replaced-run-config", "simulator-factory"],
+)
+def test_values_built_by_replace_or_a_factory_are_checked(build):
+    # A value checks itself when built, whoever builds it.
+    with pytest.raises(InvariantViolationError):
+        build()
 
 
 # One wrong-typed value per field of RunConfig, Sampling and ScoreConstants.

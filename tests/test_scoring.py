@@ -46,26 +46,25 @@ def facts_firing(**kwargs):
 
 class TestConstants:
     def test_defaults_valid(self):
-        ScoreConstants().validate()
+        ScoreConstants()
 
     def test_negative_cap_rejected(self):
         with pytest.raises(InvariantViolationError):
-            ScoreConstants(cap_minor=-0.1).validate()
+            ScoreConstants(cap_minor=-0.1)
 
     def test_unknown_rule_id_rejected(self):
-        constants = ScoreConstants(rule_weights={"made_up_rule": 0.1})
         with pytest.raises(InvariantViolationError):
-            constants.validate()
+            ScoreConstants(rule_weights={"made_up_rule": 0.1})
 
     def test_floor_must_clear_fallback_ceiling(self):
         # floor = 0.8 - penalties; pushing severe cap to 0.5 sinks it to 0.1,
         # below the 0.3 fallback ceiling.
         with pytest.raises(InvariantViolationError):
-            ScoreConstants(cap_severe=0.5).validate()
+            ScoreConstants(cap_severe=0.5)
 
     def test_tighten_range(self):
         with pytest.raises(InvariantViolationError):
-            ScoreConstants(fallback_tighten=1.0).validate()
+            ScoreConstants(fallback_tighten=1.0)
 
     def test_equal_floor_and_ceiling_made_legal_by_tightening(self):
         # Caps summing exactly to the floor are legal only because the
@@ -77,11 +76,9 @@ class TestConstants:
         )
         ceiling = constants.cap_structure + constants.cap_logic + constants.cap_format
         assert floor == pytest.approx(ceiling)
-        constants.validate()
 
     def test_zero_tighten_collapses_syntax_scores(self):
         constants = ScoreConstants(fallback_tighten=0.0)
-        constants.validate()
         score = score_from_facts(extract_facts(GOOD), constants, False, False)
         assert score.value == 0.0
 

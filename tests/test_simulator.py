@@ -41,7 +41,7 @@ PY = shlex.quote(sys.executable)
 
 class TestConfig:
     def test_defaults_need_no_tuning(self):
-        stub_simulator()  # validates internally
+        stub_simulator()  # its config checks itself when built
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -57,7 +57,7 @@ class TestConfig:
     )
     def test_rejects_bad_shapes(self, kwargs):
         with pytest.raises(InvariantViolationError):
-            SimulatorConfig(**kwargs).validate()
+            SimulatorConfig(**kwargs)
 
 
 class TestBuildArgv:
