@@ -18,11 +18,11 @@ audits can verify those rules mechanically.
 
 from __future__ import annotations
 
-import os
 import re
 import subprocess
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Mapping
 
 from .analyzer import extract_facts
@@ -51,6 +51,7 @@ from .simulator import (
     split_template,
     run_in_session,
     stub_script_cmd,
+    truncate_log,
 )
 
 TEMPLATE_NAMES = {
@@ -123,28 +124,22 @@ def format_references(
 
 def load_templates(root: str | None = None) -> dict[str, dict[str, str]]:
     """Load prompt templates, from the package or an override directory; a
-    template that does not format with its TEMPLATE_PLACEHOLDERS, and so
-    would fail mid-run, is a SchemaError naming it."""
+    template that is not UTF-8 or does not format with its TEMPLATE_PLACEHOLDERS,
+    and so would fail mid-run, is a SchemaError naming it."""
+    base = resources.files("verimoa").joinpath("templates") if root is None else Path(root)
     out: dict[str, dict[str, str]] = {}
     for group, names in TEMPLATE_NAMES.items():
         out[group] = {}
         for name in names:
-            if root is None:
-                ref = resources.files("verimoa").joinpath("templates", group, name + ".txt")
-                try:
-                    text = ref.read_text(encoding="utf-8")
-                except FileNotFoundError:
-                    raise MissingFileError(
-                        "packaged template %s/%s.txt is missing" % (group, name)
-                    )
-            else:
-                path = os.path.join(root, group, name + ".txt")
-                if not os.path.isfile(path):
-                    raise MissingFileError("missing template %s" % path)
-                with open(path, encoding="utf-8") as fh:
-                    text = fh.read()
+            # One segment per joinpath: Python 3.10's Traversable takes one.
+            ref = base.joinpath(group).joinpath(name + ".txt")
+            if not ref.is_file():
+                raise MissingFileError("missing template %s" % ref)
             try:
+                text = ref.read_text(encoding="utf-8")
                 text.format(**dict.fromkeys(TEMPLATE_PLACEHOLDERS[name], ""))
+            except UnicodeDecodeError as exc:
+                raise SchemaError("template %s/%s is not UTF-8: %s" % (group, name, exc))
             except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
                 raise SchemaError("template %s/%s does not format with %s: %r"
                                   % (group, name, TEMPLATE_PLACEHOLDERS[name], exc))
@@ -223,7 +218,7 @@ class IntermediateChecker:
         directory, so diagnostics never quote a temp path.  A directory
         that cannot be made, like a checker that cannot be launched, is an
         error, not a crash.  The directory is reused only after a command
-        that ran to its end.
+        that ran to its end.  Diagnostics are capped like simulator logs.
         """
         name = _CHECKER_SOURCE[self.language]
         try:
@@ -241,7 +236,7 @@ class IntermediateChecker:
             return "error", "checker unavailable: %s" % exc
         finally:
             self._pool.release(workdir, finished)
-        log = output.decode("utf-8", errors="replace")
+        log = truncate_log(output.decode("utf-8", errors="replace"))
         return ("pass", log) if code == 0 else ("fail", log)
 
     def timeout_diagnostics(self) -> str:

@@ -9,6 +9,9 @@ Mock backends make the whole pipeline runnable offline:
   * ScriptedBackend pops a fixed response sequence (single-threaded tests);
   * RuleBackend matches requests against predicate rules, making each
     response a pure function of the request, safe under concurrency.
+
+Transcripts and scripted files are read by problems.read_jsonl; a line that
+is not UTF-8 JSON, or not a record of its file's kind, is a SchemaError.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     SchemaError,
     TranscriptMissError,
 )
+from .problems import read_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -200,29 +204,20 @@ class ReplayBackend:
     def from_transcript(cls, path: str) -> "ReplayBackend":
         responses: dict[str, str] = {}
         tagged: dict[tuple[str, str], str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = record["key"]
-                    text = record["response_text"]
-                    tag = record.get("request_tag", "")
-                except (ValueError, KeyError, TypeError):
-                    raise SchemaError(
-                        "%s:%d: expected a transcript record with key and "
-                        "response_text" % (path, line_no)
-                    )
-                if not all(isinstance(value, str) for value in (key, text, tag)):
-                    raise SchemaError(
-                        "%s:%d: key, response_text and request_tag must be strings"
-                        % (path, line_no)
-                    )
-                # First record wins; replays of reruns may append dupes.
-                responses.setdefault(key, text)
-                tagged.setdefault((tag, key), text)
+        for where, record in read_jsonl(path, SchemaError):
+            if not isinstance(record, dict) or not {"key", "response_text"} <= set(record):
+                raise SchemaError(
+                    "%s: expected a transcript record with key and response_text" % where
+                )
+            key, text = record["key"], record["response_text"]
+            tag = record.get("request_tag", "")
+            if not all(isinstance(value, str) for value in (key, text, tag)):
+                raise SchemaError(
+                    "%s: key, response_text and request_tag must be strings" % where
+                )
+            # First record wins; replays of reruns may append dupes.
+            responses.setdefault(key, text)
+            tagged.setdefault((tag, key), text)
         return cls(responses, tagged)
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
@@ -299,35 +294,23 @@ def load_scripted(path: str):
     everything, so order them last).
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise SchemaError("%s:%d: invalid JSON: %s" % (path, line_no, exc))
-            if isinstance(record, str):
-                record = {"text": record}
-            if not isinstance(record, dict) or not isinstance(record.get("text"), str):
-                raise SchemaError(
-                    '%s:%d: expected a record with a string "text" field' % (path, line_no)
-                )
-            records.append((line_no, record))
+    for where, record in read_jsonl(path, SchemaError):
+        if isinstance(record, str):
+            record = {"text": record}
+        if not isinstance(record, dict) or not isinstance(record.get("text"), str):
+            raise SchemaError('%s: expected a record with a string "text" field' % where)
+        records.append((where, record))
     if any("when" in record for _, record in records):
         rules = []
-        for line_no, record in records:
+        for where, record in records:
             when = record.get("when", {})
             if not isinstance(when, dict):
-                raise SchemaError('%s:%d: "when" must be an object' % (path, line_no))
+                raise SchemaError('%s: "when" must be an object' % where)
             unknown = set(when) - {"tag_contains", "prompt_contains", "system_contains"}
             if unknown:
-                raise SchemaError(
-                    "%s:%d: unknown predicate %s" % (path, line_no, sorted(unknown)[0])
-                )
+                raise SchemaError("%s: unknown predicate %s" % (where, sorted(unknown)[0]))
             if not all(isinstance(value, str) for value in when.values()):
-                raise SchemaError("%s:%d: predicates must be strings" % (path, line_no))
+                raise SchemaError("%s: predicates must be strings" % where)
             rules.append(ResponseRule(text=record["text"], **when))
         return RuleBackend(rules)
     return ScriptedBackend([record["text"] for _, record in records])

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptTraceError, DomainError, MissingFileError
+from .errors import CorruptTraceError, DomainError
+from .problems import read_json, read_jsonl
 
 SIMILARITY_KIND = "cosine/char-3gram-tf"
 
@@ -138,7 +139,10 @@ _EVENT_FIELDS = {
 }
 
 
-def _check_event(event: dict, where: str) -> None:
+def _check_event(event: object, where: str) -> str:
+    """The kind of a trace event that has every field scan_run reads."""
+    if not isinstance(event, dict) or not isinstance(event.get("event"), str):
+        raise CorruptTraceError("%s: not a trace event object" % where)
     kind = event["event"]
     fields = _EVENT_FIELDS.get(kind, {})
     checks = [(event.get(name), name, types) for name, types in fields.items()]
@@ -153,26 +157,7 @@ def _check_event(event: dict, where: str) -> None:
     for value, name, types in checks:
         if not isinstance(value, types):
             raise CorruptTraceError("%s: %s event without a valid %s" % (where, kind, name))
-
-
-def _read_trace(path: str) -> list[dict]:
-    events = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError as exc:
-                raise CorruptTraceError("%s:%d: %s" % (path, line_no, exc))
-            if not isinstance(event, dict) or not isinstance(event.get("event"), str):
-                raise CorruptTraceError(
-                    "%s:%d: not a trace event object" % (path, line_no)
-                )
-            _check_event(event, "%s:%d" % (path, line_no))
-            events.append(event)
-    return events
+    return kind
 
 
 def _mean(values: list[float]) -> float | None:
@@ -195,18 +180,11 @@ class RunScan:
 
 
 def scan_run(run_dir: str) -> RunScan:
-    """Read a run directory's manifest and every trace into aggregates;
-    a malformed manifest or event raises CorruptTraceError."""
+    """Read a run directory's manifest and every trace into aggregates; a
+    manifest or trace line that is not UTF-8 JSON, or lacks a field read
+    here, raises CorruptTraceError (problems.read_json/read_jsonl)."""
     manifest_path = os.path.join(run_dir, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise MissingFileError("missing %s" % manifest_path)
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise CorruptTraceError("%s: %s" % (manifest_path, exc))
-
-    manifest = manifest if isinstance(manifest, dict) else {}
+    manifest = read_json(manifest_path, CorruptTraceError)
     problems, config = manifest.get("problems"), manifest.get("config")
     if not problems or not isinstance(problems, list) or not all(
         isinstance(p, str) for p in problems
@@ -230,8 +208,8 @@ def scan_run(run_dir: str) -> RunScan:
                 scan.incomplete += 1
                 continue
             saw_result = False
-            for event in _read_trace(trace_path):
-                kind = event["event"]
+            for where, event in read_jsonl(trace_path, CorruptTraceError):
+                kind = _check_event(event, where)
                 if kind == "cache_insert" and event.get("kind") == "hdl":
                     branches[event["score"]["branch"]] += 1
                 elif kind == "layer_stats" and event["window_values"]:

@@ -10,6 +10,9 @@ A benchmark bundle is a directory:
     <id>/<support file>       extra sources compiled alongside, opaque here
 
 Run configuration is a single JSON object whose keys mirror RunConfig.
+Every JSON or JSON-lines input, here and in backends and harness, is read
+by read_json or read_jsonl: strict UTF-8, and a fault raises the caller's
+error class naming <path>[:<line>].
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import os
 import sys
 import typing
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .cache import AgentPath
@@ -28,6 +32,7 @@ from .errors import (
     MalformedIndexError,
     MissingFileError,
     SchemaError,
+    VerimoaError,
 )
 from .scoring import ScoreConstants
 
@@ -92,20 +97,43 @@ def _read_text(path: str, problem_id: str | None = None) -> str:
         return fh.read()
 
 
-def _load_json(path: str, problem_id: str | None = None) -> dict:
-    text = _read_text(path, problem_id)
+def _read_bytes(path: str) -> bytes:
+    if not os.path.isfile(path):
+        raise MissingFileError("missing %s" % path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_json(path: str, error: type[VerimoaError]) -> dict:
+    """The JSON object a UTF-8 file holds; any other content raises error."""
+    data = _read_bytes(path)
     try:
-        obj = json.loads(text)
-    except ValueError as exc:
-        raise MalformedIndexError("%s: invalid JSON: %s" % (path, exc))
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise error("%s: invalid JSON: %s" % (path, exc))
     if not isinstance(obj, dict):
-        raise MalformedIndexError("%s: expected a JSON object" % path)
+        raise error("%s: expected a JSON object" % path)
     return obj
+
+
+def read_jsonl(path: str, error: type[VerimoaError]) -> Iterator[tuple[str, object]]:
+    """("<path>:<line>", value) for each non-blank line of a UTF-8 JSON-lines
+    file; a line that is not UTF-8 JSON raises error."""
+    # splitlines ends lines at \n, \r\n or \r, as text mode does.
+    for line_no, raw in enumerate(_read_bytes(path).splitlines(), 1):
+        where = "%s:%d" % (path, line_no)
+        try:
+            line = raw.decode("utf-8").strip()
+            value = json.loads(line) if line else None
+        except ValueError as exc:
+            raise error("%s: invalid JSON: %s" % (where, exc))
+        if line:
+            yield where, value
 
 
 def load_problem(problem_dir: str, expected_id: str | None = None) -> DesignProblem:
     meta_path = os.path.join(problem_dir, "problem.json")
-    meta = _load_json(meta_path, expected_id)
+    meta = read_json(meta_path, MalformedIndexError)
     known = {"id", "top_module", "timeout_ms", "pass_marker", "support_files"}
     unknown = set(meta) - known
     if unknown:
@@ -161,7 +189,7 @@ def load_problem(problem_dir: str, expected_id: str | None = None) -> DesignProb
 
 def load_benchmark(root_path: str) -> Benchmark:
     index_path = os.path.join(root_path, "benchmark.json")
-    index = _load_json(index_path)
+    index = read_json(index_path, MalformedIndexError)
     name = index.get("name")
     ids = index.get("problems")
     if not isinstance(name, str) or not name:
@@ -307,11 +335,4 @@ def config_from_json(obj: object) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    if not os.path.isfile(path):
-        raise MissingFileError("missing config file %s" % path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise SchemaError("%s: invalid JSON: %s" % (path, exc))
-    return config_from_json(obj)
+    return config_from_json(read_json(path, SchemaError))

@@ -48,6 +48,7 @@ from verimoa.errors import (
 from verimoa.memo import VerdictMemo
 from verimoa.problems import Sampling
 from verimoa.scoring import ScoreBranch, ScoreConstants
+from verimoa.simulator import LOG_CAP_BYTES
 
 SAMPLING = Sampling()
 
@@ -404,6 +405,20 @@ class TestIntermediateChecker:
         assert first[0] == "pass"
         assert checker.run("quick") == first  # a finished check's workspace is reused
         assert len(workspaces_in(workspace_leak_guard)) == 1
+
+    def test_long_diagnostics_are_capped_keeping_the_tail(self):
+        # They go into the trace, the memo and the refinement prompt.
+        script = "head -c %d /dev/zero | tr '\\0' x; echo; echo END_MARKER; exit 1" % (
+            LOG_CAP_BYTES + 100_000
+        )
+        checker = IntermediateChecker(
+            language=IntermediateLanguage.CPP,
+            check_cmd="sh -c %s sh {source}" % shlex.quote(script),
+        )
+        status, diagnostics = checker.run("int x;")
+        assert status == "fail"
+        assert len(diagnostics) <= LOG_CAP_BYTES
+        assert diagnostics.endswith("END_MARKER\n")
 
     def test_missing_checker_binary_is_error_status(self):
         checker = IntermediateChecker(

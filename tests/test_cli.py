@@ -307,6 +307,57 @@ class TestRun:
         assert "bogus" in err
         assert not os.path.exists(mini_run["out"])
 
+    def test_non_utf8_template_fails_before_any_run_file(
+        self, mini_run, tmp_path, capsys
+    ):
+        templates = tmp_path / "templates"
+        shutil.copytree(os.path.join(os.path.dirname(cli.__file__), "templates"), templates)
+        (templates / "base" / "direct.txt").write_bytes(b"{description}\xff\n{references}\n")
+        rc = run_cli(
+            "run", "--config", mini_run["config"], "--benchmark", mini_run["bench"],
+            "--out", mini_run["out"], "--backend", "scripted:%s" % mini_run["rules"],
+            "--sim", "stub", "--templates", str(templates),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema_error: template base/direct is not UTF-8: ")
+        assert len(err.splitlines()) == 1
+        assert not os.path.exists(mini_run["out"])
+
+    @pytest.mark.parametrize("where", ["scripted", "replay", "problem"])
+    def test_non_utf8_input_fails_before_any_run_file(
+        self, mini_run, tmp_path, capsys, where
+    ):
+        # One 0xFF byte inside a JSON string: strict UTF-8 decoding must
+        # reject it as the file's own error, naming path[:line].
+        backend = "scripted:%s" % mini_run["rules"]
+        if where == "scripted":
+            path = mini_run["rules"]
+            with open(path, "wb") as fh:
+                fh.write(b'{"text": "\xff"}\n')
+            expected = "schema_error: %s:1: invalid JSON: " % path
+        elif where == "replay":
+            path = str(tmp_path / "transcript.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(b'{"key": "k", "response_text": "x"}\n\n{"key": "\xff"}\n')
+            backend = "replay:%s" % path
+            expected = "schema_error: %s:3: invalid JSON: " % path
+        else:
+            path = os.path.join(mini_run["bench"], "widget", "problem.json")
+            with open(path, "wb") as fh:
+                fh.write(b'{"id": "widget", "top_module": "widget", "timeout_ms": 1000, '
+                         b'"pass_marker": "\xff"}')
+            expected = "malformed_index: %s: invalid JSON: " % path
+        rc = run_cli(
+            "run", "--config", mini_run["config"], "--benchmark", mini_run["bench"],
+            "--out", mini_run["out"], "--backend", backend, "--sim", "stub",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(expected), err
+        assert len(err.splitlines()) == 1
+        assert not os.path.exists(mini_run["out"])
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -527,6 +578,18 @@ def test_event_without_a_read_field_is_corrupt(tmp_path, capsys, command, event)
         fh.write(json.dumps(event) + "\n")
     assert run_cli(command, "--run", run, "--k", "1") == 1
     assert capsys.readouterr().err.startswith("corrupt_trace: %s:1:" % trace)
+
+
+@pytest.mark.parametrize("command", ["passk", "report"])
+def test_non_utf8_trace_is_corrupt(tmp_path, capsys, command):
+    run = synthetic_run(str(tmp_path / "run"))
+    trace = os.path.join(run, "p2", "1", "trace.jsonl")
+    with open(trace, "ab") as fh:
+        fh.write(b"\xff\n")
+    assert run_cli(command, "--run", run, "--k", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt_trace: %s:2: invalid JSON: " % trace), err
+    assert len(err.splitlines()) == 1
 
 
 class TestReport:

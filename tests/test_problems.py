@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -12,8 +13,10 @@ from conftest import (
     write_benchmark,
     write_problem,
 )
+from verimoa.backends import load_scripted
 from verimoa.cache import AgentPath
 from verimoa.errors import (
+    CorruptTraceError,
     DuplicateProblemIdError,
     InvariantViolationError,
     MalformedIndexError,
@@ -29,6 +32,8 @@ from verimoa.problems import (
     load_benchmark,
     load_config,
     load_problem,
+    read_json,
+    read_jsonl,
 )
 from verimoa.scoring import ScoreConstants
 from verimoa.simulator import iverilog_config
@@ -411,3 +416,51 @@ class TestLoadConfig:
         assert config.layer_width == 3
         assert config.trials == 2
         assert config.mixture == ("Base", "Cpp", "Py")
+
+    def test_non_object_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(SchemaError, match="^%s: expected a JSON object$" % re.escape(str(path))):
+            load_config(str(path))
+
+
+def open_paths() -> set[str]:
+    paths = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            paths.add(os.readlink("/proc/self/fd/%s" % fd))
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    return paths
+
+
+class TestReaders:
+    def test_jsonl_yields_each_non_blank_line_with_its_number(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"a": 1}\r\n\n   \rnull\n"b"')
+        assert list(read_jsonl(str(path), SchemaError)) == [
+            ("%s:1" % path, {"a": 1}), ("%s:4" % path, None), ("%s:5" % path, "b"),
+        ]
+
+    @pytest.mark.parametrize("reader", [read_json, read_jsonl])
+    def test_missing_file(self, tmp_path, reader):
+        path = tmp_path / "none.json"
+        with pytest.raises(MissingFileError, match="^missing %s$" % re.escape(str(path))):
+            list(reader(str(path), SchemaError))
+
+    @pytest.mark.parametrize("reader, error, where", [
+        (read_json, MalformedIndexError, ""), (read_jsonl, CorruptTraceError, ":2"),
+    ])
+    def test_non_utf8_bytes_raise_the_callers_error(self, tmp_path, reader, error, where):
+        path = tmp_path / "x.json"
+        path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n' if where else b'{"a": "\xff"}')
+        expected = "^%s%s: invalid JSON: 'utf-8' codec" % (re.escape(str(path)), where)
+        with pytest.raises(error, match=expected):
+            list(reader(str(path), error))
+
+    def test_a_caller_that_stops_partway_leaves_no_file_open(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        path.write_text('{"text": "a"}\n5\n{"text": "b"}\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match=":2: expected a record"):
+            load_scripted(str(path))
+        assert str(path) not in open_paths()

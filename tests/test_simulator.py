@@ -584,6 +584,18 @@ class TestSimcheck:
         assert not ok
         assert message.startswith("compile failed")
 
+    def test_one_evaluation_is_two_spawns(self, tmp_path, monkeypatch):
+        spawns = [0]
+        original = subprocess.Popen.__init__
+
+        def counting_init(self, *args, **kwargs):
+            spawns[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess.Popen, "__init__", counting_init)
+        assert simcheck(stub_simulator(workspace_root=str(tmp_path))) == (True, "simulator ok")
+        assert spawns[0] == 2  # compile with the testbench, then run
+
     def test_missing_binary_propagates(self, tmp_path):
         config = SimulatorConfig(
             compile_cmd="verimoa-no-such-binary {sources} -o {out}",
