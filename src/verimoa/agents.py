@@ -228,7 +228,7 @@ class IntermediateChecker:
         argv = [token.replace("{source}", name) for token in split_template(self.check_cmd)]
         finished = False
         try:
-            code, output = run_in_session(argv, workdir, self.timeout_ms / 1000.0)
+            code, output, _ = run_in_session(argv, workdir, self.timeout_ms / 1000.0, None)
             finished = True
         except subprocess.TimeoutExpired:
             return "fail", self.timeout_diagnostics()

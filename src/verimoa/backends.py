@@ -64,9 +64,9 @@ class GenerationResponse:
     token_usage: tuple[int, int] | None = None
 
 
-def request_key(request: GenerationRequest) -> str:
-    """Stable replay key over everything that shapes the response."""
-    payload = json.dumps(
+def _key_payload(request: GenerationRequest) -> str:
+    """The canonical JSON of everything that shapes the response."""
+    return json.dumps(
         {
             "system_prompt": request.system_prompt,
             "user_prompt": request.user_prompt,
@@ -76,7 +76,15 @@ def request_key(request: GenerationRequest) -> str:
         sort_keys=True,
         ensure_ascii=True,
     )
+
+
+def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def request_key(request: GenerationRequest) -> str:
+    """Stable replay key over everything that shapes the response."""
+    return _digest(_key_payload(request))
 
 
 class HttpBackend:
@@ -346,19 +354,13 @@ class TranscriptRecorder:
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         response = self.inner.generate(request)
-        record = {
-            "key": request_key(request),
-            "request_tag": request.request_tag,
-            "request": {
-                "system_prompt": request.system_prompt,
-                "user_prompt": request.user_prompt,
-                "temperature": request.temperature,
-                "top_p": request.top_p,
-                "max_tokens": MAX_TOKENS,
-            },
-            "response_text": response.text,
-        }
-        line = json.dumps(record, sort_keys=True, ensure_ascii=True)
+        payload = _key_payload(request)
+        # The line json.dumps(record, sort_keys=True, ensure_ascii=True)
+        # gives, built around the prompts' one encoding: sorted keys put
+        # "max_tokens" first in "request", and "request" after "key".
+        line = '{"key": "%s", "request": {"max_tokens": %d, %s, "request_tag": %s, ' \
+            '"response_text": %s}' % (_digest(payload), MAX_TOKENS, payload[1:],
+                                     json.dumps(request.request_tag), json.dumps(response.text))
         with self._lock:
             if self._fh is None:
                 self._fh = open(self._path, "a", buffering=1, encoding="utf-8")

@@ -24,12 +24,13 @@ from .errors import (
     AuthError,
     BackendExhaustedError,
     PipelineFailureError,
+    SchemaError,
     SimulatorUnavailableError,
     VerimoaError,
     WorkspaceError,
 )
 from .harness import build_report, pass_table, scan_run
-from .problems import load_benchmark, load_config, load_problem
+from .problems import load_benchmark, load_config, load_problem, read_text
 from .scoring import ScoreConstants
 from .simulator import (
     ExternalSimulator,
@@ -174,8 +175,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_score(args) -> int:
     problem = load_problem(args.problem)
-    with open(args.hdl, encoding="utf-8", errors="replace") as fh:
-        source = fh.read()
+    source = read_text(args.hdl, SchemaError)
     sim = _build_sim(args)
     score, _ = gated_evaluation(source, problem, sim, ScoreConstants())
     if args.json:
@@ -221,8 +221,7 @@ def _cmd_report(args) -> int:
 def _cmd_facts(args) -> int:
     from .analyzer import extract_facts
 
-    with open(args.file, encoding="utf-8", errors="replace") as fh:
-        source = fh.read()
+    source = read_text(args.file, SchemaError)
     print(json.dumps(extract_facts(source).to_json(), indent=2, sort_keys=True))
     return 0
 

@@ -11,8 +11,8 @@ A benchmark bundle is a directory:
 
 Run configuration is a single JSON object whose keys mirror RunConfig.
 Every JSON or JSON-lines input, here and in backends and harness, is read
-by read_json or read_jsonl: strict UTF-8, and a fault raises the caller's
-error class naming <path>[:<line>].
+by read_json or read_jsonl, and every text input by read_text: strict
+UTF-8, and a fault raises the caller's error class naming <path>[:<line>].
 """
 
 from __future__ import annotations
@@ -89,19 +89,23 @@ class Benchmark:
             seen.add(problem.id)
 
 
-def _read_text(path: str, problem_id: str | None = None) -> str:
-    if not os.path.isfile(path):
-        where = " for problem %r" % problem_id if problem_id else ""
-        raise MissingFileError("missing %s%s" % (path, where))
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        return fh.read()
-
-
 def _read_bytes(path: str) -> bytes:
     if not os.path.isfile(path):
         raise MissingFileError("missing %s" % path)
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def read_text(path: str, error: type[VerimoaError]) -> str:
+    """A UTF-8 text file's content, newlines translated as text mode does;
+    bytes that are not UTF-8 raise error naming the path."""
+    if not os.path.isfile(path):
+        raise MissingFileError("missing %s" % path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error("%s: not UTF-8: %s" % (path, exc))
 
 
 def read_json(path: str, error: type[VerimoaError]) -> dict:
@@ -172,18 +176,18 @@ def load_problem(problem_dir: str, expected_id: str | None = None) -> DesignProb
         raise MalformedIndexError(
             "%s: field 'support_files' must be a list of file names" % meta_path
         )
-    support = {
-        name: _read_text(os.path.join(problem_dir, name), pid)
-        for name in support_names
-    }
+
+    def text(name: str) -> str:
+        return read_text(os.path.join(problem_dir, name), MalformedIndexError)
+
     return DesignProblem(
         id=pid,
-        description=_read_text(os.path.join(problem_dir, "spec.md"), pid),
-        testbench_source=_read_text(os.path.join(problem_dir, "testbench.v"), pid),
+        description=text("spec.md"),
+        testbench_source=text("testbench.v"),
         top_module=meta["top_module"],
         timeout_ms=timeout,
         pass_marker=marker,
-        support_files=support,
+        support_files={name: text(name) for name in support_names},
     )
 
 

@@ -5,7 +5,8 @@ gate is the compile command, the functional gate compiles the candidate
 with the golden testbench and runs it.  A run passes only when the process
 exits 0 AND the pass marker appears in its output, because HDL testbenches
 routinely exit 0 after printing mismatches.  The marker is looked for in
-the whole output; only the stored log is truncated.
+the whole output as it is read; only the first and the last LOG_CAP_BYTES
+bytes are kept, and the stored log is truncated further.
 
 Every evaluation leases a private workspace directory from a
 WorkspacePool, so concurrent evaluations never collide.  A lease holds
@@ -113,21 +114,27 @@ def _build_argv(template: str, sources: list[str], out: str) -> list[str]:
     return argv
 
 
-def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, bytes]:
-    """Run one simulator or checker command; returns (exit code, output).
+def run_in_session(
+    argv: list[str], cwd: str, timeout_s: float, marker: str | None
+) -> tuple[int, bytes, bool]:
+    """Run one simulator or checker command; returns (exit code, output,
+    whether marker appeared anywhere in the output).
 
-    stdout and stderr share one pipe.  The command runs without the API
-    key in its environment, since it runs model-written code, and in a
-    session of its own: every way out of the wait, its exit included,
-    kills its whole process group, so a compiler driver's children or a
-    background sleep a checker's shell started die with it.  A timeout raises
-    subprocess.TimeoutExpired holding the output read so far.  Without
-    the key set, the command inherits the environment as it is, uncopied.
-    The child is reaped as soon as it exits (see _read_until_exit).
+    stdout and stderr share one pipe.  The output kept is capped (see
+    _CappedOutput); the marker is looked for in the whole stream.  The
+    command runs without the API key in its environment, since it runs
+    model-written code, and in a session of its own: every way out of the
+    wait, its exit included, kills its whole process group, so a compiler
+    driver's children or a background sleep a checker's shell started die
+    with it.  A timeout raises subprocess.TimeoutExpired holding the output
+    read so far.  Without the key set, the command inherits the environment
+    as it is, uncopied.  The child is reaped as soon as it exits (see
+    _read_until_exit).
     """
     env = None
     if API_KEY_ENV in os.environ:
         env = {k: v for k, v in os.environ.items() if k != API_KEY_ENV}
+    output = _CappedOutput(None if marker is None else marker.encode("utf-8"))
     with subprocess.Popen(
         argv,
         cwd=cwd,
@@ -137,7 +144,7 @@ def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, by
         start_new_session=True,
     ) as proc:
         try:
-            output = _read_until_exit(proc, timeout_s)
+            _read_until_exit(proc, timeout_s, output)
         finally:
             # Unreaped, the leader's pid names this group and no other; reaped
             # (no pidfd), it stays reserved while any straggler lives.
@@ -146,15 +153,47 @@ def run_in_session(argv: list[str], cwd: str, timeout_s: float) -> tuple[int, by
             except (ProcessLookupError, PermissionError):  # gone, or only zombies (BSD)
                 pass
             proc.wait()
-        return proc.returncode, output
+        return proc.returncode, output.value(), output.seen
 
 
-def _read_until_exit(proc: subprocess.Popen, timeout_s: float) -> bytes:
-    """The child's output once its pipe is closed and it has exited.  A
-    pidfd of the child, where os.pidfd_open works, is polled with the pipe
-    and reports the exit without reaping the child; elsewhere Popen.wait
-    sleep-polls once the pipe closes, and reaps it."""
-    out, chunks = proc.stdout.fileno(), []
+class _CappedOutput:
+    """A command's output as it is read, in bounded memory: the first and
+    the last LOG_CAP_BYTES bytes, with a note of how many bytes between
+    them were dropped, and whether marker appeared anywhere in the stream.
+    Output of up to 2 * LOG_CAP_BYTES bytes is kept whole."""
+
+    def __init__(self, marker: bytes | None) -> None:
+        self._head = bytearray()
+        self._tail = bytearray()
+        self._dropped = 0
+        self._marker = marker
+        self._carry = b""  # the last len(marker) - 1 bytes read
+        self.seen = False
+
+    def add(self, data: bytes) -> None:
+        if self._marker is not None and not self.seen:
+            window = self._carry + data
+            self.seen = self._marker in window
+            self._carry = window[max(len(window) - len(self._marker) + 1, 0):]
+        room = LOG_CAP_BYTES - len(self._head)
+        self._head += data[:room]
+        self._tail += data[room:]
+        excess = len(self._tail) - LOG_CAP_BYTES
+        if excess > 0:
+            del self._tail[:excess]
+            self._dropped += excess
+
+    def value(self) -> bytes:
+        note = b"\n...[%d bytes dropped]...\n" % self._dropped if self._dropped else b""
+        return bytes(self._head + note + self._tail)
+
+
+def _read_until_exit(proc: subprocess.Popen, timeout_s: float, output: _CappedOutput) -> None:
+    """Read the child's output into output until its pipe is closed and it
+    has exited.  A pidfd of the child, where os.pidfd_open works, is polled
+    with the pipe and reports the exit without reaping the child; elsewhere
+    Popen.wait sleep-polls once the pipe closes, and reaps it."""
+    out = proc.stdout.fileno()
     deadline = time.monotonic() + timeout_s
     poller = select.poll()
     waiting = {out}
@@ -172,19 +211,18 @@ def _read_until_exit(proc: subprocess.Popen, timeout_s: float) -> bytes:
                 raise subprocess.TimeoutExpired(proc.args, timeout_s)
             for fd, _ in poller.poll(remaining * 1000):
                 data = os.read(out, 32768) if fd == out else b""
-                chunks.append(data)
+                output.add(data)
                 if not data:  # EOF, or the child exited
                     poller.unregister(fd)
                     waiting.discard(fd)
         if pidfd is None:
             proc.wait(max(deadline - time.monotonic(), 0))
     except subprocess.TimeoutExpired as exc:
-        exc.timeout, exc.output = timeout_s, b"".join(chunks)
+        exc.timeout, exc.output = timeout_s, output.value()
         raise
     finally:
         if pidfd is not None:
             os.close(pidfd)
-    return b"".join(chunks)
 
 
 def _remove_all(workspaces: list[str]) -> None:
@@ -291,17 +329,20 @@ class ExternalSimulator:
 
     # -- internals ---------------------------------------------------
 
-    def _run(self, argv: list[str], cwd: str, timeout_ms: int) -> tuple[int, str, bool, int]:
+    def _run(
+        self, argv: list[str], cwd: str, timeout_ms: int, marker: str | None = None
+    ) -> tuple[bool, str, bool, int]:
+        """(passed, log, timed_out, duration_ms) of one command: it passed
+        when it exited 0 in time and, when marker is given, printed it."""
         started = time.monotonic()
         try:
-            code, output = run_in_session(argv, cwd, timeout_ms / 1000.0)
+            code, output, seen = run_in_session(argv, cwd, timeout_ms / 1000.0, marker)
             log = output.decode("utf-8", errors="replace")
-            timed_out = False
+            passed, timed_out = code == 0 and (marker is None or seen), False
         except subprocess.TimeoutExpired as exc:
             log = (exc.output or b"").decode("utf-8", errors="replace")
             log += "\n[timeout after %d ms]" % timeout_ms
-            code = -1
-            timed_out = True
+            passed, timed_out = False, True
         except FileNotFoundError:
             raise SimulatorUnavailableError(
                 "simulator command not found: %s" % argv[0]
@@ -309,7 +350,7 @@ class ExternalSimulator:
         except OSError as exc:
             raise SimulatorUnavailableError("cannot launch %s: %s" % (argv[0], exc))
         duration_ms = int((time.monotonic() - started) * 1000)
-        return code, log, timed_out, duration_ms
+        return passed, log, timed_out, duration_ms
 
     def _evaluate(self, candidate_source: str, problem, run: bool) -> SimVerdict:
         """Compile the candidate to ./design.out, or, when run is set, with
@@ -336,13 +377,15 @@ class ExternalSimulator:
             verdict = None
             try:
                 argv = _build_argv(self.config.compile_cmd, [name for name, _ in files], out)
-                code, log, timed_out, duration = self._run(argv, workspace, problem.timeout_ms)
-                phase, passed = SimPhase.COMPILE, code == 0 and not timed_out
+                passed, log, timed_out, duration = self._run(argv, workspace, problem.timeout_ms)
+                phase = SimPhase.COMPILE
                 if run and passed:
                     argv = _build_argv(self.config.run_cmd, [], out)
-                    code, log, timed_out, run_ms = self._run(argv, workspace, problem.timeout_ms)
                     marker = problem.pass_marker or self.config.pass_marker
-                    phase, passed = SimPhase.RUN, code == 0 and not timed_out and marker in log
+                    passed, log, timed_out, run_ms = self._run(
+                        argv, workspace, problem.timeout_ms, marker
+                    )
+                    phase = SimPhase.RUN
                     duration += run_ms
                 verdict = SimVerdict(phase, passed, truncate_log(log), duration, timed_out)
                 return verdict

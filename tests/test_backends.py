@@ -5,10 +5,13 @@ import warnings
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CLEAN_MODULE, FakeSimulator, make_problem
 from verimoa.backends import (
     GenerationRequest,
+    GenerationResponse,
     HttpBackend,
     ReplayBackend,
     ResponseRule,
@@ -215,6 +218,59 @@ class TestReplay:
         assert record["request"]["user_prompt"] == "design a widget"
         assert record["request"]["max_tokens"] == 4096
         assert record["response_text"] == "x"
+
+    @given(
+        requests_=st.lists(
+            st.builds(
+                GenerationRequest,
+                system_prompt=st.text(),
+                user_prompt=st.one_of(
+                    st.text(), st.sampled_from(['"q"', "\\", "\x00\x1f\x7f", "é\u2028😀"])
+                ),
+                temperature=st.one_of(st.sampled_from([0.0, 0.1, 1e-07, 0.8, 2.5]),
+                                      st.floats(0, 10)),
+                top_p=st.one_of(st.sampled_from([0.1, 1e-07, 0.95, 1.0]),
+                                st.floats(1e-300, 1.0)),
+                request_tag=st.text(max_size=12),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_line_is_the_record_as_json_dumps_gives_it(self, tmp_path_factory, requests_):
+        class Echo:
+            backend_id = "echo"
+
+            def generate(self, request):
+                text = "%s|%s" % (request.request_tag, request.user_prompt)
+                return GenerationResponse(text=text, backend_id=self.backend_id)
+
+        transcript = tmp_path_factory.mktemp("t") / "t.jsonl"
+        recorder = TranscriptRecorder(Echo(), str(transcript))
+        expected = []
+        for request in requests_:
+            text = recorder.generate(request).text
+            record = {
+                "key": request_key(request),
+                "request_tag": request.request_tag,
+                "request": {
+                    "system_prompt": request.system_prompt,
+                    "user_prompt": request.user_prompt,
+                    "temperature": request.temperature,
+                    "top_p": request.top_p,
+                    "max_tokens": 4096,
+                },
+                "response_text": text,
+            }
+            expected.append(json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n")
+        recorder.close()  # sorts the lines by tag
+        with open(transcript, encoding="utf-8", newline="") as fh:
+            assert sorted(fh.readlines()) == sorted(expected)
+        replay = ReplayBackend.from_transcript(str(transcript))
+        for request in requests_:
+            answer = "%s|%s" % (request.request_tag, request.user_prompt)
+            assert replay.generate(request).text == answer
 
     def test_first_record_wins_on_duplicate_keys(self, tmp_path):
         transcript = tmp_path / "t.jsonl"

@@ -481,13 +481,32 @@ class TestScore:
         assert blob["branch"] == "functional_fail"
         assert blob["value"] == 0.8
 
-    def test_missing_hdl_file_is_io_error(self, capsys):
+    def test_missing_hdl_file_is_missing_file(self, capsys):
         rc = run_cli(
             "score", "--problem", os.path.join(TOY_BENCH, "mux2"),
             "--hdl", "/nonexistent/file.v", "--sim", "stub",
         )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("io_error:")
+        assert rc == 1
+        assert capsys.readouterr().err == "missing_file: missing /nonexistent/file.v\n"
+
+
+SCORE_ARGS = ("score", "--problem", os.path.join(TOY_BENCH, "mux2"), "--sim", "stub", "--hdl")
+
+
+@pytest.mark.parametrize("command", [SCORE_ARGS, ("facts",)], ids=["score", "facts"])
+class TestSourceFileInput:
+    def test_missing_file_exits_1(self, tmp_path, capsys, command):
+        path = str(tmp_path / "absent.v")
+        assert run_cli(*command, path) == 1
+        assert capsys.readouterr().err == "missing_file: missing %s\n" % path
+
+    def test_non_utf8_file_is_a_schema_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.v"
+        path.write_bytes(CLEAN_MODULE.encode("utf-8") + b'// caf\xe9\n')
+        assert run_cli(*command, str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema_error: %s: not UTF-8: " % path)
+        assert err.count("\n") == 1
 
 
 class TestFacts:

@@ -34,6 +34,7 @@ from verimoa.problems import (
     load_problem,
     read_json,
     read_jsonl,
+    read_text,
 )
 from verimoa.scoring import ScoreConstants
 from verimoa.simulator import iverilog_config
@@ -442,7 +443,7 @@ class TestReaders:
             ("%s:1" % path, {"a": 1}), ("%s:4" % path, None), ("%s:5" % path, "b"),
         ]
 
-    @pytest.mark.parametrize("reader", [read_json, read_jsonl])
+    @pytest.mark.parametrize("reader", [read_json, read_jsonl, read_text])
     def test_missing_file(self, tmp_path, reader):
         path = tmp_path / "none.json"
         with pytest.raises(MissingFileError, match="^missing %s$" % re.escape(str(path))):
@@ -464,3 +465,34 @@ class TestReaders:
         with pytest.raises(SchemaError, match=":2: expected a record"):
             load_scripted(str(path))
         assert str(path) not in open_paths()
+
+    def test_text_translates_newlines_as_text_mode_does(self, tmp_path):
+        path = tmp_path / "spec.md"
+        path.write_bytes("caf\u00e9\r\nline\rend\n".encode("utf-8"))
+        assert read_text(str(path), MalformedIndexError) == "caf\u00e9\nline\nend\n"
+
+    def test_text_that_is_not_utf8_raises_the_callers_error(self, tmp_path):
+        path = tmp_path / "testbench.v"
+        path.write_bytes(b'$display("\xe9");\n')
+        expected = "^%s: not UTF-8: 'utf-8' codec" % re.escape(str(path))
+        with pytest.raises(SchemaError, match=expected):
+            read_text(str(path), SchemaError)
+
+
+class TestProblemTextIsUtf8:
+    """spec.md, testbench.v and support files are read strictly: a Latin-1
+    byte is a malformed index, not a U+FFFD compiled in its place."""
+
+    @pytest.mark.parametrize("name", ["spec.md", "testbench.v", "lib.v"])
+    def test_a_latin1_byte_is_a_malformed_index(self, tmp_path, name):
+        meta = {"id": "p1", "top_module": "p1", "timeout_ms": 5, "support_files": ["lib.v"]}
+        pdir = write_problem(tmp_path, "p1", meta, extra_files=[("lib.v", "// lib\n")])
+        with open(os.path.join(pdir, name), "wb") as fh:
+            fh.write(b'module t; initial $display("\xe9"); endmodule\n')
+        expected = "^%s: not UTF-8: " % re.escape(os.path.join(pdir, name))
+        with pytest.raises(MalformedIndexError, match=expected):
+            load_problem(pdir, "p1")
+
+    def test_utf8_text_loads_unchanged(self, tmp_path):
+        pdir = write_problem(tmp_path, "p1", testbench='$display("\u00e9");\n')
+        assert load_problem(pdir, "p1").testbench_source == '$display("\u00e9");\n'

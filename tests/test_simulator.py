@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -478,7 +479,7 @@ def test_the_environment_reaches_the_command_without_the_key(tmp_path, monkeypat
         monkeypatch.setenv("VERIMOA_API_KEY", key)
     monkeypatch.setenv("VERIMOA_CANARY", "canary-value")
     script = 'echo "canary=${VERIMOA_CANARY-ABSENT} key=${VERIMOA_API_KEY-ABSENT}"'
-    code, output = run_in_session(["sh", "-c", script], str(tmp_path), 10.0)
+    code, output, _ = run_in_session(["sh", "-c", script], str(tmp_path), 10.0, None)
     assert (code, output) == (0, b"canary=canary-value key=ABSENT\n")
 
 
@@ -493,24 +494,27 @@ class TestRunInSession:
         sleeps = []
         sleep = time.sleep
         monkeypatch.setattr(time, "sleep", lambda s: (sleeps.append(s), sleep(s)))
-        code, output = run_in_session(["sh", "-c", QUIET_TAIL % 0.05], str(tmp_path), 10.0)
+        code, output, _ = run_in_session(
+            ["sh", "-c", QUIET_TAIL % 0.05], str(tmp_path), 10.0, None
+        )
         assert (code, output) == (0, b"hi\n")
         assert sleeps == []
 
     def test_output_of_a_grandchild_is_read_to_the_end(self, tmp_path):
         script = "(sleep 0.2; echo late) & echo early; exit 3"
-        code, output = run_in_session(["sh", "-c", script], str(tmp_path), 10.0)
+        code, output, _ = run_in_session(["sh", "-c", script], str(tmp_path), 10.0, None)
         assert (code, output) == (3, b"early\nlate\n")
 
     def test_a_finished_command_leaves_no_process_behind(self, tmp_path):
-        assert run_in_session(["sh", "-c", BACKGROUND], str(tmp_path), 10.0) == (0, b"done\n")
+        result = run_in_session(["sh", "-c", BACKGROUND], str(tmp_path), 10.0, None)
+        assert result == (0, b"done\n", False)
         assert_gone_within_a_second(int((tmp_path / "bg.pid").read_text()))
 
     @pytest.mark.parametrize("script", [QUIET_TAIL % 3, "echo hi; sleep 3"],
                              ids=["closed-pipe", "open-pipe"])
     def test_timeout_keeps_the_output_read_so_far(self, tmp_path, script):
         with pytest.raises(subprocess.TimeoutExpired) as exc:
-            run_in_session(["sh", "-c", script], str(tmp_path), 0.3)
+            run_in_session(["sh", "-c", script], str(tmp_path), 0.3, None)
         assert exc.value.output == b"hi\n"
 
     def test_simulator_log_keeps_the_output_before_a_timeout(self, tmp_path):
@@ -523,6 +527,69 @@ class TestRunInSession:
         verdict = ExternalSimulator(config).syntax_test(CLEAN_MODULE, problem)
         assert verdict.timed_out
         assert verdict.log == "hi\n\n[timeout after 300 ms]"
+
+
+# Prints n bytes of "x" through a pipe, then a text.
+FLOOD = "head -c %d /dev/zero | tr '\\0' x; printf %s"
+
+
+class TestBoundedOutput:
+    """The output read is capped at its first and last LOG_CAP_BYTES; the
+    pass marker is still found anywhere in the stream."""
+
+    def flood(self, tmp_path, n, text):
+        argv = ["sh", "-c", FLOOD % (n, text)]
+        return run_in_session(argv, str(tmp_path), 30.0, "ALL_TESTS_PASSED")
+
+    @pytest.mark.parametrize("n", [LOG_CAP_BYTES, 2 * LOG_CAP_BYTES - 4])
+    def test_output_up_to_the_cap_is_kept_whole(self, tmp_path, n):
+        code, output, seen = self.flood(tmp_path, n, "tail")
+        assert (code, output, seen) == (0, b"x" * n + b"tail", False)
+
+    def test_a_longer_output_keeps_its_head_and_tail(self, tmp_path):
+        n = 3 * LOG_CAP_BYTES
+        code, output, seen = self.flood(tmp_path, n, "END")
+        note = b"\n...[%d bytes dropped]...\n" % (n + 3 - 2 * LOG_CAP_BYTES)
+        assert output == b"x" * LOG_CAP_BYTES + note + b"x" * (LOG_CAP_BYTES - 3) + b"END"
+        assert (code, seen) == (0, False)
+
+    def test_a_marker_after_eight_caps_of_output_passes(self, tmp_path):
+        config = SimulatorConfig(
+            compile_cmd="%s -c pass {sources} {out}" % PY,
+            run_cmd="sh -c %s {out}"
+            % shlex.quote(FLOOD % (8 * LOG_CAP_BYTES, "ALL_TESTS_PASSED")),
+            workspace_root=str(tmp_path / "ws"),
+        )
+        verdict = ExternalSimulator(config).function_test(CLEAN_MODULE, make_problem())
+        assert verdict.passed
+        assert len(verdict.log) <= LOG_CAP_BYTES
+
+    def test_a_marker_split_across_two_writes_is_found(self, tmp_path):
+        script = "printf ALL_TESTS_; sleep 0.2; printf PASSED"
+        result = run_in_session(["sh", "-c", script], str(tmp_path), 10.0, "ALL_TESTS_PASSED")
+        assert result == (0, b"ALL_TESTS_PASSED", True)
+
+    @pytest.mark.parametrize("head", [0, 5, LOG_CAP_BYTES - 3, 3 * LOG_CAP_BYTES])
+    def test_a_marker_split_at_any_byte_is_found(self, head):
+        marker = b"ALL_TESTS_PASSED"
+        # All of the marker is found; all but its last byte is not.
+        for text, found in ((marker, True), (marker[:-1], False)):
+            for cut in range(len(text) + 1):
+                output = simulator._CappedOutput(marker)
+                for chunk in (b"x" * head + text[:cut], text[cut:], b"y" * 7):
+                    output.add(chunk)
+                assert output.seen is found, (text, cut)
+
+    def test_fifty_megabytes_of_output_take_little_memory(self, tmp_path):
+        tracemalloc.start()
+        try:
+            code, output, seen = self.flood(tmp_path, 50_000_000, "ALL_TESTS_PASSED")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, seen) == (0, True)
+        assert len(output) < 2 * LOG_CAP_BYTES + 100
+        assert peak < 1_000_000
 
 
 class TestRunInSessionWithoutPidfd:
@@ -539,15 +606,17 @@ class TestRunInSessionWithoutPidfd:
 
     def test_runs_to_the_end(self, tmp_path):
         script = QUIET_TAIL % 0.05 + "; exit 3"
-        assert run_in_session(["sh", "-c", script], str(tmp_path), 10.0) == (3, b"hi\n")
+        result = run_in_session(["sh", "-c", script], str(tmp_path), 10.0, None)
+        assert result == (3, b"hi\n", False)
 
     def test_output_of_a_grandchild_is_read_to_the_end(self, tmp_path):
         script = "(sleep 0.2; echo late) & echo early; exit 3"
-        code, output = run_in_session(["sh", "-c", script], str(tmp_path), 10.0)
+        code, output, _ = run_in_session(["sh", "-c", script], str(tmp_path), 10.0, None)
         assert (code, output) == (3, b"early\nlate\n")
 
     def test_a_finished_command_leaves_no_process_behind(self, tmp_path):
-        assert run_in_session(["sh", "-c", BACKGROUND], str(tmp_path), 10.0) == (0, b"done\n")
+        result = run_in_session(["sh", "-c", BACKGROUND], str(tmp_path), 10.0, None)
+        assert result == (0, b"done\n", False)
         assert_gone_within_a_second(int((tmp_path / "bg.pid").read_text()))
 
     @pytest.mark.parametrize("script", [QUIET_TAIL % 3, "echo hi; sleep 3"],
@@ -555,7 +624,7 @@ class TestRunInSessionWithoutPidfd:
     def test_timeout_keeps_the_output_read_so_far(self, tmp_path, script):
         started = time.monotonic()
         with pytest.raises(subprocess.TimeoutExpired) as exc:
-            run_in_session(["sh", "-c", script], str(tmp_path), 0.3)
+            run_in_session(["sh", "-c", script], str(tmp_path), 0.3, None)
         assert exc.value.output == b"hi\n"
         assert exc.value.timeout == 0.3
         assert time.monotonic() - started < 2.5
