@@ -18,11 +18,10 @@ audits can verify those rules mechanically.
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 from typing import Mapping
 
 from .analyzer import extract_facts
@@ -35,14 +34,13 @@ from .cache import (
 )
 from .errors import (
     AuthError,
-    MissingFileError,
     SchemaError,
     SimulatorUnavailableError,
     VerimoaError,
     WorkspaceError,
 )
 from .memo import VerdictMemo
-from .problems import DesignProblem, Sampling
+from .problems import DesignProblem, Sampling, read_text
 from .scoring import QualityScore, ScoreConstants, score_from_facts
 from .simulator import (
     SimPhase,
@@ -126,20 +124,14 @@ def load_templates(root: str | None = None) -> dict[str, dict[str, str]]:
     """Load prompt templates, from the package or an override directory; a
     template that is not UTF-8 or does not format with its TEMPLATE_PLACEHOLDERS,
     and so would fail mid-run, is a SchemaError naming it."""
-    base = resources.files("verimoa").joinpath("templates") if root is None else Path(root)
+    base = os.path.join(os.path.dirname(__file__), "templates") if root is None else root
     out: dict[str, dict[str, str]] = {}
     for group, names in TEMPLATE_NAMES.items():
         out[group] = {}
         for name in names:
-            # One segment per joinpath: Python 3.10's Traversable takes one.
-            ref = base.joinpath(group).joinpath(name + ".txt")
-            if not ref.is_file():
-                raise MissingFileError("missing template %s" % ref)
+            text = read_text(os.path.join(base, group, name + ".txt"), SchemaError)
             try:
-                text = ref.read_text(encoding="utf-8")
                 text.format(**dict.fromkeys(TEMPLATE_PLACEHOLDERS[name], ""))
-            except UnicodeDecodeError as exc:
-                raise SchemaError("template %s/%s is not UTF-8: %s" % (group, name, exc))
             except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
                 raise SchemaError("template %s/%s does not format with %s: %r"
                                   % (group, name, TEMPLATE_PLACEHOLDERS[name], exc))
@@ -197,10 +189,11 @@ _CHECKER_SOURCE = {
 
 @dataclass(frozen=True)
 class IntermediateChecker:
+    """One language's checker command; each run gets CHECKER_TIMEOUT_MS."""
+
     language: IntermediateLanguage
     check_cmd: str  # template with a {source} placeholder
     max_rounds: int = 1
-    timeout_ms: int = CHECKER_TIMEOUT_MS
     _pool: WorkspacePool = field(
         default_factory=lambda: WorkspacePool("verimoa-check-"),
         init=False, repr=False, compare=False,
@@ -228,7 +221,7 @@ class IntermediateChecker:
         argv = [token.replace("{source}", name) for token in split_template(self.check_cmd)]
         finished = False
         try:
-            code, output, _ = run_in_session(argv, workdir, self.timeout_ms / 1000.0, None)
+            code, output, _ = run_in_session(argv, workdir, CHECKER_TIMEOUT_MS / 1000.0, None)
             finished = True
         except subprocess.TimeoutExpired:
             return "fail", self.timeout_diagnostics()
@@ -240,7 +233,7 @@ class IntermediateChecker:
         return ("pass", log) if code == 0 else ("fail", log)
 
     def timeout_diagnostics(self) -> str:
-        return "[checker timeout after %d ms]" % self.timeout_ms
+        return "[checker timeout after %d ms]" % CHECKER_TIMEOUT_MS
 
 
 def stub_checker(language: IntermediateLanguage, max_rounds: int = 1) -> IntermediateChecker:
@@ -372,8 +365,8 @@ def gated_evaluation(
     compile decide between the syntax-fail and the functional-fail branch.
     With it off, a compiling candidate scores on the functional-fail branch
     (it cannot claim the perfect score unverified).  Timeouts count as the
-    gate failing; simulator unavailability propagates.  With a memo,
-    structural facts are extracted once per distinct source in it.
+    gate failing; simulator unavailability propagates.  Structural facts
+    are extracted once per distinct source in memo, a fresh one if None.
     """
     func = sim.function_test(source, problem) if run_functional else None
     if func is not None and func.phase is SimPhase.RUN:
@@ -387,12 +380,9 @@ def gated_evaluation(
         else:
             feedback = "" if func is None else func.log
     # The perfect branch scores without structural facts.
-    perfect = syntax_pass and functional_pass
-    if perfect:
-        facts = None
-    elif memo is None:
-        facts = extract_facts(source)
-    else:
+    facts = None
+    if not (syntax_pass and functional_pass):
+        memo = VerdictMemo() if memo is None else memo
         facts = memo.get(("facts", source), lambda: extract_facts(source))
     score = score_from_facts(facts, constants, syntax_pass, functional_pass)
     return score, feedback

@@ -39,6 +39,9 @@ if TYPE_CHECKING:
 
 MAX_TOKENS = 4096  # every request's completion budget
 API_KEY_ENV = "VERIMOA_API_KEY"
+MAX_ATTEMPTS = 3  # per HttpBackend request
+BACKOFF_S = 0.5  # before its first retry, doubling for each later one
+REQUEST_TIMEOUT_S = 120.0  # per attempt
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,8 @@ def request_key(request: GenerationRequest) -> str:
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completion client with bounded retries.
+    """OpenAI-compatible chat-completion client with bounded retries: a
+    request gets MAX_ATTEMPTS attempts, then raises BackendExhaustedError.
 
     It sets no concurrency limit of its own: run_benchmark puts every
     backend behind one gate of jobs x layer_width calls.  Its session keeps
@@ -101,9 +105,6 @@ class HttpBackend:
         model: str,
         api_key: str | None = None,
         session: requests.Session | None = None,
-        max_retries: int = 3,
-        backoff_s: float = 0.5,
-        request_timeout_s: float = 120.0,
         pool_size: int = 10,
     ) -> None:
         import requests
@@ -119,9 +120,6 @@ class HttpBackend:
             session.mount("https://", adapter)
         self.session = session
         self._transport_errors = requests.RequestException
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.request_timeout_s = request_timeout_s
         self.backend_id = "http:%s" % model
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
@@ -139,16 +137,16 @@ class HttpBackend:
             "max_tokens": MAX_TOKENS,
         }
         last_error = "no attempts made"
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
             started = time.monotonic()
             try:
                 resp = self.session.post(
                     self.endpoint,
                     json=body,
                     headers=headers,
-                    timeout=self.request_timeout_s,
+                    timeout=REQUEST_TIMEOUT_S,
                 )
             except self._transport_errors as exc:
                 last_error = str(exc)
@@ -183,7 +181,7 @@ class HttpBackend:
             )
         raise BackendExhaustedError(
             "%d attempts against %s failed; last: %s"
-            % (self.max_retries, self.endpoint, last_error)
+            % (MAX_ATTEMPTS, self.endpoint, last_error)
         )
 
 
@@ -323,16 +321,34 @@ def load_scripted(path: str):
 
 
 class GatedBackend:
-    """Wraps a backend, letting at most ``limit`` generate calls in at once."""
+    """Wraps a backend, letting at most ``limit`` generate calls in at once.
+    Once ``limit`` calls in a row have raised BackendExhaustedError (any
+    answer resets the count), later calls raise it without reaching the
+    inner backend, so fewer than 2 x ``limit`` reach one that never answers."""
 
     def __init__(self, inner, limit: int) -> None:
         self.inner = inner
         self.backend_id = getattr(inner, "backend_id", "unknown")
         self._gate = threading.Semaphore(limit)
+        self._limit = limit
+        self._lock = threading.Lock()
+        self._exhausted = 0  # consecutive BackendExhaustedErrors
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         with self._gate:
-            return self.inner.generate(request)
+            exhausted = self._exhausted  # one read; a stale one sends one more
+            if exhausted >= self._limit:
+                raise BackendExhaustedError("not sent: the last %d requests exhausted "
+                                            "the backend" % exhausted)
+            try:
+                response = self.inner.generate(request)
+            except BackendExhaustedError:
+                with self._lock:
+                    self._exhausted += 1
+                raise
+            with self._lock:
+                self._exhausted = 0
+            return response
 
 
 class TranscriptRecorder:

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .agents import IntermediateChecker, gated_evaluation, load_templates, stub_checker
+from .agents import IntermediateChecker, gated_evaluation, load_templates
 from .backends import (
     HttpBackend,
     ReplayBackend,
@@ -110,18 +110,12 @@ def _build_backend(args, run_dir: str, seats: int) -> TranscriptRecorder:
 
 
 def _build_checkers(args, max_rounds: int) -> dict[IntermediateLanguage, IntermediateChecker]:
-    checkers = {}
-    for language, cmd in (
-        (IntermediateLanguage.CPP, args.cpp_check_cmd),
-        (IntermediateLanguage.PYTHON, args.py_check_cmd),
-    ):
-        if cmd:
-            checkers[language] = IntermediateChecker(
-                language=language, check_cmd=cmd, max_rounds=max_rounds
-            )
-        else:
-            checkers[language] = stub_checker(language, max_rounds)
-    return checkers
+    """The checkers --cpp-check-cmd and --py-check-cmd name; run_benchmark
+    gives every other language the stub."""
+    commands = ((IntermediateLanguage.CPP, args.cpp_check_cmd),
+                (IntermediateLanguage.PYTHON, args.py_check_cmd))
+    return {language: IntermediateChecker(language, cmd, max_rounds)
+            for language, cmd in commands if cmd}
 
 
 def _cmd_run(args) -> int:

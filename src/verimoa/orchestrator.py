@@ -369,26 +369,25 @@ def run_benchmark(
 
     Up to jobs x layer_width trials run at once, each with its own slot
     workers.  The backend is put behind one gate of jobs x layer_width
-    seats, the most LLM requests in flight across all trials; the
+    seats, the most LLM requests in flight across all trials, which stops
+    sending once that many in a row found the backend exhausted; the
     simulator keeps its own gate of one evaluation per CPU, and the checkers
-    have no ceiling of their own.  The simulator and the checkers are put
-    behind one VerdictMemo for this call, which also keeps structural facts,
-    so each distinct candidate is evaluated and analysed once per run.
+    have no ceiling of their own.  A language missing from checkers gets
+    the stub checker.  The simulator and the checkers are put behind one
+    VerdictMemo for this call, which also keeps structural facts, so each
+    distinct candidate is evaluated and analysed once per run.
     Nothing is returned: a trial without candidates ends its trace in
     trial_error, a non-pass.  The first error a trial raises (an AuthError,
     say) cancels the queued trials and is re-raised.
     """
     templates = templates or load_templates()
-    if checkers is None:
-        checkers = {
-            lang: stub_checker(lang, config.max_stage1_refine_rounds)
-            for lang in IntermediateLanguage
-        }
     width = llm_seats(jobs, config)
     backend = GatedBackend(backend, width)
     memo = VerdictMemo()
     sim = MemoSimulator(sim, memo)
-    checkers = {lang: MemoChecker(c, memo) for lang, c in checkers.items()}
+    given, rounds = checkers or {}, config.max_stage1_refine_rounds
+    checkers = {lang: MemoChecker(given.get(lang) or stub_checker(lang, rounds), memo)
+                for lang in IntermediateLanguage}
     write_manifest(run_dir, benchmark, config, backend.backend_id)
 
     with ThreadPoolExecutor(max_workers=width) as trials:

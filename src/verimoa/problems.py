@@ -99,13 +99,11 @@ def _read_bytes(path: str) -> bytes:
 def read_text(path: str, error: type[VerimoaError]) -> str:
     """A UTF-8 text file's content, newlines translated as text mode does;
     bytes that are not UTF-8 raise error naming the path."""
-    if not os.path.isfile(path):
-        raise MissingFileError("missing %s" % path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error("%s: not UTF-8: %s" % (path, exc))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_json(path: str, error: type[VerimoaError]) -> dict:

@@ -424,8 +424,10 @@ def stub_script_cmd(name: str) -> str:
 
     The stubs are awk programs because start-up is most of a stub spawn's
     cost, and awk starts in a small fraction of a Python interpreter's time.
+    awk is looked up on PATH here, once, so no spawn searches PATH for it.
     """
-    return "awk -f %s" % shlex.quote(_stub_script(name))
+    awk = shutil.which("awk") or "awk"
+    return "%s -f %s" % (shlex.quote(awk), shlex.quote(_stub_script(name)))
 
 
 def stub_simulator(**overrides) -> ExternalSimulator:

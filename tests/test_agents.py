@@ -360,15 +360,15 @@ class TestIntermediateChecker:
         assert "secret-value" not in diagnostics
         assert "canary=canary-value" in diagnostics
 
-    def test_timeout_kills_the_checkers_children(self, tmp_path):
+    def test_timeout_kills_the_checkers_children(self, tmp_path, monkeypatch):
         # A shell-wrapped checker may run model-written code that never
         # ends; killing only the shell would leave it running.
+        monkeypatch.setattr(verimoa.agents, "CHECKER_TIMEOUT_MS", 500)
         pid_file = tmp_path / "grandchild.pid"
         script = "sleep 30 & echo $! > %s; wait" % shlex.quote(str(pid_file))
         checker = IntermediateChecker(
             language=IntermediateLanguage.CPP,
             check_cmd="sh -c %s {source}" % shlex.quote(script),
-            timeout_ms=500,
         )
         assert checker.run("int x;") == ("fail", checker.timeout_diagnostics())
         assert_gone_within_a_second(int(pid_file.read_text()))
@@ -393,11 +393,11 @@ class TestIntermediateChecker:
         del checker
         assert workspaces_in(workspace_leak_guard) == []
 
-    def test_a_timed_out_workspace_is_not_reused(self, workspace_leak_guard):
+    def test_a_timed_out_workspace_is_not_reused(self, workspace_leak_guard, monkeypatch):
+        monkeypatch.setattr(verimoa.agents, "CHECKER_TIMEOUT_MS", 300)
         checker = IntermediateChecker(
             language=IntermediateLanguage.CPP,
             check_cmd="sh -c %s sh {source}" % shlex.quote("grep -q SLOW \"$1\" && sleep 30; pwd"),
-            timeout_ms=300,
         )
         assert checker.run("SLOW") == ("fail", checker.timeout_diagnostics())
         assert workspaces_in(workspace_leak_guard) == []

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLEAN_MODULE, FakeSimulator, make_problem
+from verimoa import backends
 from verimoa.backends import (
+    GatedBackend,
     GenerationRequest,
     GenerationResponse,
     HttpBackend,
@@ -106,6 +108,58 @@ class TestScripted:
         for t in threads:
             t.join()
         assert sorted(seen) == sorted(texts)
+
+
+class OutcomeBackend:
+    """Raises or answers with each outcome in turn, counting its calls."""
+
+    backend_id = "outcomes"
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.calls = 0
+
+    def generate(self, request):
+        outcome = self.outcomes[self.calls]
+        self.calls += 1
+        if isinstance(outcome, Exception):
+            raise outcome
+        return GenerationResponse(text=outcome, backend_id=self.backend_id)
+
+
+class TestGatedBackend:
+    def test_a_dead_backend_stops_getting_requests(self):
+        inner = OutcomeBackend([BackendExhaustedError("dead")] * 3)
+        gated = GatedBackend(inner, 3)
+        for _ in range(3):
+            with pytest.raises(BackendExhaustedError, match="dead"):
+                gated.generate(req())
+        for _ in range(5):
+            with pytest.raises(BackendExhaustedError, match="the last 3 requests"):
+                gated.generate(req())
+        assert inner.calls == 3
+
+    def test_an_answer_resets_the_count(self):
+        exhausted = BackendExhaustedError("dead")
+        inner = OutcomeBackend([exhausted, exhausted, "ok"] * 3 + [exhausted, exhausted])
+        gated = GatedBackend(inner, 3)
+        answers = []
+        for _ in range(11):
+            try:
+                answers.append(gated.generate(req()).text)
+            except BackendExhaustedError as exc:
+                assert str(exc) == "dead"
+        assert (answers, inner.calls) == (["ok"] * 3, 11)
+
+    @pytest.mark.parametrize("error", [AuthError("401"), TranscriptMissError("miss")])
+    def test_other_errors_are_not_counted(self, error):
+        inner = OutcomeBackend([error] * 4 + ["ok"])
+        gated = GatedBackend(inner, 2)
+        for _ in range(4):
+            with pytest.raises(type(error)):
+                gated.generate(req())
+        assert gated.generate(req()).text == "ok"
+        assert inner.calls == 5
 
 
 class TestRules:
@@ -422,13 +476,15 @@ def ok_response(text="hello", usage=None):
     return FakeResponse(200, payload)
 
 
-def http_backend(session, **kw):
-    kw.setdefault("api_key", "k-123")
-    kw.setdefault("backoff_s", 0.0)
-    return HttpBackend("http://unit.test/v1/chat", "m1", session=session, **kw)
+def http_backend(session):
+    return HttpBackend("http://unit.test/v1/chat", "m1", api_key="k-123", session=session)
 
 
 class TestHttpBackend:
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(backends, "BACKOFF_S", 0.0)
+
     def test_happy_path_builds_chat_body(self):
         session = FakeSession([ok_response("hi", {"prompt_tokens": 3, "completion_tokens": 5})])
         response = http_backend(session).generate(req(temperature=0.2))
@@ -472,14 +528,15 @@ class TestHttpBackend:
         ])
         assert http_backend(session).generate(req()).text == "ok"
 
-    def test_malformed_body_retries(self):
+    def test_malformed_body_retries(self, monkeypatch):
+        monkeypatch.setattr(backends, "MAX_ATTEMPTS", 4)
         session = FakeSession([
             FakeResponse(200, invalid_body=True),
             FakeResponse(200, {"choices": []}),
             ok_response(5),  # content that is not a string
             ok_response("ok"),
         ])
-        assert http_backend(session, max_retries=4).generate(req()).text == "ok"
+        assert http_backend(session).generate(req()).text == "ok"
         assert len(session.calls) == 4
 
     @pytest.mark.parametrize("usage", [
@@ -493,18 +550,20 @@ class TestHttpBackend:
         assert (response.text, response.token_usage) == ("hi", None)
         assert len(session.calls) == 1
 
-    def test_exhaustion_reports_last_error(self):
+    def test_exhaustion_reports_last_error(self, monkeypatch):
+        monkeypatch.setattr(backends, "MAX_ATTEMPTS", 3)
         session = FakeSession([FakeResponse(500)] * 3)
         with pytest.raises(BackendExhaustedError, match="HTTP 500"):
-            http_backend(session, max_retries=3).generate(req())
+            http_backend(session).generate(req())
         assert len(session.calls) == 3
 
-    def test_client_error_body_is_not_retried_forever(self):
+    def test_client_error_body_is_not_retried_forever(self, monkeypatch):
         # A 400 is neither auth nor retryable-status; the malformed-body
         # path consumes the attempt.
+        monkeypatch.setattr(backends, "MAX_ATTEMPTS", 2)
         session = FakeSession([FakeResponse(400, {"error": "bad request"})] * 2)
         with pytest.raises(BackendExhaustedError):
-            http_backend(session, max_retries=2).generate(req())
+            http_backend(session).generate(req())
 
 
 class TestExtractCodeBlock:

@@ -20,7 +20,7 @@ from conftest import (
     write_benchmark,
     write_problem,
 )
-from verimoa import cli
+from verimoa import backends, cli
 from verimoa.cli import main
 from verimoa.backends import GenerationRequest, load_scripted
 from verimoa.errors import AuthError, BackendExhaustedError
@@ -320,7 +320,8 @@ class TestRun:
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("schema_error: template base/direct is not UTF-8: ")
+        path = os.path.join(str(templates), "base", "direct.txt")
+        assert err.startswith("schema_error: %s: not UTF-8: " % path)
         assert len(err.splitlines()) == 1
         assert not os.path.exists(mini_run["out"])
 
@@ -666,7 +667,8 @@ class TestSimcheckCommand:
 class _ChatHandler(BaseHTTPRequestHandler):
     """Answers chat completions with "ok" once a whole wave of them is in
     flight, over keep-alive connections, counting the connections it
-    accepts."""
+    accepts and the posts it reads; a server made with a status other than
+    200 answers every post with that status at once."""
 
     protocol_version = "HTTP/1.1"
 
@@ -677,6 +679,13 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            self.server.posts += 1
+        if self.server.status != 200:
+            self.send_response(self.server.status)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         self.server.wave.wait()
         body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
         self.send_response(200)
@@ -693,19 +702,25 @@ class _ChatServer(ThreadingHTTPServer):
     daemon_threads = True
     request_queue_size = 64  # accept a whole wave at once
 
-    def __init__(self, wave_size: int):
+    def __init__(self, wave_size: int = 1, status: int = 200):
         super().__init__(("127.0.0.1", 0), _ChatHandler)
         self.lock = threading.Lock()
         self.connections = 0
+        self.posts = 0
+        self.status = status
         self.wave = threading.Barrier(wave_size, timeout=30)
+
+
+def _no_proxy(monkeypatch):
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
 
 
 class TestHttpBackendPool:
     def test_second_wave_reuses_every_connection(self, tmp_path, monkeypatch):
-        for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
-            monkeypatch.delenv(name, raising=False)
-            monkeypatch.delenv(name.lower(), raising=False)
-        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        _no_proxy(monkeypatch)
         seats = 24  # the default --jobs 4 x a layer_width of 6
         server = _ChatServer(seats)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -738,6 +753,28 @@ class TestHttpBackendPool:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_a_dead_endpoint_stops_getting_requests(self, tmp_path, monkeypatch, capsys):
+        # Without the gate's breaker every slot of every trial sends its
+        # MAX_ATTEMPTS posts: 60 requests, 180 posts.  At --jobs 1 the gate
+        # holds 1 x 3 seats and trips on the 3rd exhausted request in a row.
+        _no_proxy(monkeypatch)
+        monkeypatch.setattr(backends, "BACKOFF_S", 0.0)
+        server = _ChatServer(status=503)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            rc = run_cli(
+                "run", "--config", PROGRESSIVE_CONFIG, "--benchmark", TOY_BENCH,
+                "--out", str(tmp_path / "out"), "--backend", "http",
+                "--endpoint", "http://127.0.0.1:%d/v1" % server.server_port,
+                "--model", "m", "--sim", "stub", "--jobs", "1",
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("backend_exhausted:")
+        assert backends.MAX_ATTEMPTS <= server.posts <= 2 * 3 * backends.MAX_ATTEMPTS
 
 
 def test_offline_imports_leave_requests_unloaded():

@@ -143,12 +143,12 @@ class TestMemoChecker:
         assert checker.run("int x;")[0] == "error"
         assert spawns[0] == 2
 
-    def test_timeout_is_not_kept(self, spawns):
+    def test_timeout_is_not_kept(self, spawns, monkeypatch):
+        monkeypatch.setattr(agents, "CHECKER_TIMEOUT_MS", 200)
         inner = stub_checker(IntermediateLanguage.CPP)
         slow = type(inner)(
             inner.language,
             "%s -c 'import time; time.sleep(5)' {source}" % shlex.quote(sys.executable),
-            timeout_ms=200,
         )
         checker = MemoChecker(slow, VerdictMemo())
         assert checker.run("int x;") == ("fail", slow.timeout_diagnostics())

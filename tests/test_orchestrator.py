@@ -18,7 +18,7 @@ from conftest import (
     trial_collaborators,
 )
 from verimoa import __version__
-from verimoa.agents import CANDIDATE_MARKER_RE
+from verimoa.agents import CANDIDATE_MARKER_RE, stub_checker
 from verimoa.backends import (
     GenerationResponse,
     HttpBackend,
@@ -27,6 +27,7 @@ from verimoa.backends import (
     ScriptedBackend,
     load_scripted,
 )
+from verimoa.cache import IntermediateLanguage
 from verimoa.errors import AuthError, BackendExhaustedError, InvariantViolationError
 from verimoa.orchestrator import run_benchmark, run_trial, write_manifest
 from verimoa.problems import (
@@ -413,6 +414,27 @@ class TestRunLayout:
             assert events[-1]["event"] == "trial_result"
             assert events[-1]["trial"] == trial
 
+    def test_a_missing_checker_is_the_stub(self, tmp_path, progressive_runs):
+        # Handed only a Python checker, the Cpp slots check on the C++ stub,
+        # as a run handed no checkers at all does.
+        config = progressive_runs.config
+        run_dir = tmp_path / "run"
+        python = IntermediateLanguage.PYTHON
+        run_benchmark(
+            progressive_runs.bench, config, load_scripted(PROGRESSIVE_RULES), stub_simulator(),
+            str(run_dir), jobs=4,
+            checkers={python: stub_checker(python, config.max_stage1_refine_rounds)},
+        )
+        cpp_checks = 0
+        for problem in progressive_runs.bench.problems:
+            for trial in range(config.trials):
+                rel = os.path.join(problem.id, str(trial), "trace.jsonl")
+                with open(os.path.join(progressive_runs.dirs[0], rel), "rb") as fh:
+                    assert (run_dir / rel).read_bytes() == fh.read()
+                cpp_checks += sum(e["event"] == "checker" and e["slot"] == 2
+                                  for e in read_trace(str(run_dir / rel)))
+        assert cpp_checks > 0
+
     def test_benchmark_seeds_offset_by_trial(self, tmp_path):
         bench = Benchmark(name="one", problems=(make_problem(),))
         run_dir = tmp_path / "run"
@@ -606,6 +628,20 @@ class CrossTrialSimulator(FakeSimulator):
         return super().function_test(source, problem)
 
 
+class CountingBackend:
+    backend_id = "counting"
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request):
+        with self._lock:
+            self.calls += 1
+        return self.inner.generate(request)
+
+
 class InFlightSession:
     """A requests.Session stand-in recording the most posts in flight.
 
@@ -729,3 +765,21 @@ class TestScheduler:
             )
         # Swallowing the error would send all 60 doomed requests.
         assert 1 <= backend.calls < 60
+
+    def test_a_dead_backend_stops_getting_requests(self, tmp_path):
+        # Without the gate's breaker all 60 doomed requests are sent.  The
+        # gate lets jobs x layer_width = 6 in at once and trips on the 6th
+        # exhausted one in a row, so fewer than 2 x 6 get through.
+        backend = CountingBackend(ScriptedBackend([]))
+        run_dir = tmp_path / "run"
+        bench = load_benchmark(TOY_BENCH)
+        run_benchmark(bench, load_config(PROGRESSIVE_CONFIG), backend, FakeSimulator(),
+                      str(run_dir), jobs=2)
+        assert 6 <= backend.calls < 12
+        for problem in bench.problems:
+            for trial in range(2):
+                events = read_trace(str(run_dir / problem.id / str(trial) / "trace.jsonl"))
+                assert events[-1]["event"] == "trial_error"
+                assert {e["error_code"] for e in events if e["event"] == "agent_error"} == {
+                    "backend_exhausted"
+                }
