@@ -49,7 +49,6 @@ from .simulator import (
     split_template,
     run_in_session,
     stub_script_cmd,
-    truncate_log,
 )
 
 TEMPLATE_NAMES = {
@@ -179,6 +178,7 @@ class RefineRound:
 
 
 CHECKER_TIMEOUT_MS = 60_000
+CHECKER_TIMEOUT_DIAGNOSTICS = "[checker timeout after %d ms]" % CHECKER_TIMEOUT_MS
 
 # The checked source's name inside the checker's private directory.
 _CHECKER_SOURCE = {
@@ -211,7 +211,7 @@ class IntermediateChecker:
         directory, so diagnostics never quote a temp path.  A directory
         that cannot be made, like a checker that cannot be launched, is an
         error, not a crash.  The directory is reused only after a command
-        that ran to its end.  Diagnostics are capped like simulator logs.
+        that ran to its end.  Diagnostics are capped like a simulator log.
         """
         name = _CHECKER_SOURCE[self.language]
         try:
@@ -224,16 +224,13 @@ class IntermediateChecker:
             code, output, _ = run_in_session(argv, workdir, CHECKER_TIMEOUT_MS / 1000.0, None)
             finished = True
         except subprocess.TimeoutExpired:
-            return "fail", self.timeout_diagnostics()
+            return "fail", CHECKER_TIMEOUT_DIAGNOSTICS
         except OSError as exc:
             return "error", "checker unavailable: %s" % exc
         finally:
             self._pool.release(workdir, finished)
-        log = truncate_log(output.decode("utf-8", errors="replace"))
+        log = output.decode("utf-8", errors="replace")
         return ("pass", log) if code == 0 else ("fail", log)
-
-    def timeout_diagnostics(self) -> str:
-        return "[checker timeout after %d ms]" % CHECKER_TIMEOUT_MS
 
 
 def stub_checker(language: IntermediateLanguage, max_rounds: int = 1) -> IntermediateChecker:
@@ -304,13 +301,17 @@ def run_twostage_agent(
     layer: int,
     caller: Caller,
     checks: list[CheckerRecord],
+    *,
+    memo: VerdictMemo,
 ) -> tuple[str, str]:
     """Two-stage generation through an intermediate language.
 
     Returns (hdl_source, intermediate_source).  Each check is appended to
     checks as it arrives, like each answered call to caller.prompts, so a
     failing stage 2 leaves them there.  A broken checker downgrades to
-    zero refinement rounds rather than failing the agent.
+    zero refinement rounds rather than failing the agent.  Each check is
+    looked up in memo by language, check command and source, and is not
+    kept if it is an error or a timeout.
     """
     assert layer >= 2 or (not hdl_refs and not int_refs), "layer 1 receives no references"
     language = PATH_LANGUAGE[spec.path]
@@ -326,7 +327,11 @@ def run_twostage_agent(
         references=format_references(int_refs, language),
     )
     for round_index in range(1, checker.max_rounds + 1):
-        status, diagnostics = checker.run(intermediate)
+        status, diagnostics = memo.get(
+            (language.value, checker.check_cmd, intermediate),
+            lambda: checker.run(intermediate),
+            lambda check: check[0] != "error" and check[1] != CHECKER_TIMEOUT_DIAGNOSTICS,
+        )
         checks.append(CheckerRecord(round_index, status, diagnostics))
         if status != "fail":
             break
@@ -365,25 +370,31 @@ def gated_evaluation(
     compile decide between the syntax-fail and the functional-fail branch.
     With it off, a compiling candidate scores on the functional-fail branch
     (it cannot claim the perfect score unverified).  Timeouts count as the
-    gate failing; simulator unavailability propagates.  Structural facts
-    are extracted once per distinct source in memo, a fresh one if None.
+    gate failing; simulator unavailability propagates.  Verdicts (not kept
+    if timed out) and facts are looked up in memo, a fresh one if None.
     """
-    func = sim.function_test(source, problem) if run_functional else None
+    memo = VerdictMemo() if memo is None else memo
+    support = tuple(sorted(problem.support_files.items()))
+
+    def gate(name: str):
+        key = (name, problem.id, problem.testbench_source, support, source)
+        return memo.get(key, lambda: getattr(sim, name)(source, problem),
+                        lambda verdict: not verdict.timed_out)
+
+    func = gate("function_test") if run_functional else None
     if func is not None and func.phase is SimPhase.RUN:
         syntax_pass, functional_pass = True, func.passed
         feedback = "" if func.passed else func.log
     else:
-        syntax = sim.syntax_test(source, problem)
+        syntax = gate("syntax_test")
         syntax_pass, functional_pass = syntax.passed, False
         if not syntax.passed:
             feedback = syntax.log
         else:
             feedback = "" if func is None else func.log
     # The perfect branch scores without structural facts.
-    facts = None
-    if not (syntax_pass and functional_pass):
-        memo = VerdictMemo() if memo is None else memo
-        facts = memo.get(("facts", source), lambda: extract_facts(source))
+    perfect = syntax_pass and functional_pass
+    facts = None if perfect else memo.get(("facts", source), lambda: extract_facts(source))
     score = score_from_facts(facts, constants, syntax_pass, functional_pass)
     return score, feedback
 

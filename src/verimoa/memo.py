@@ -2,18 +2,16 @@
 
 The quality-guided cache keeps every candidate, and layers, refinement
 rounds and the aggregator hand the same source back again and again.
-``run_benchmark`` makes one memo per call, puts it in front of the
-simulator and the checkers it was handed and passes it to scoring, so
-each distinct candidate is compiled, run, checked and analysed once per run.
+``run_benchmark`` makes one memo per call and passes it down to the code
+that runs the gates, the checks and the fact extraction, which looks each
+result up here first, so each distinct candidate is compiled, run, checked
+and analysed once per run.  ``agents`` owns the keys and decides what is
+worth keeping; this module only stores results.
 
-Keys are plain tuples of everything a result depends on within one run:
-the gate, the problem id, its testbench and support files, and the
-source; for checkers, the language, the check command and the source;
-for structural facts, "facts" and the source.  Lookups are single-flight:
-a thread asking for a key that another thread is computing waits for that
-result instead of computing its own.  Timed-out verdicts, failed checker
-launches and raised errors are never stored, so the next caller computes
-them afresh, as without a memo.
+Lookups are single-flight: a thread asking for a key that another thread
+is computing waits for that result instead of computing its own.  A raised
+error is never stored, so the next caller computes afresh, as without a
+memo.
 """
 
 from __future__ import annotations
@@ -65,46 +63,3 @@ class VerdictMemo:
                 del self._pending[key]
             pending.set()
 
-
-class _Wrapper:
-    def __init__(self, inner, memo: VerdictMemo) -> None:
-        self._inner = inner
-        self._memo = memo
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def _keep_verdict(verdict) -> bool:
-    return not verdict.timed_out
-
-
-class MemoSimulator(_Wrapper):
-    def _gate(self, method: str, source: str, problem):
-        key = (
-            method,
-            problem.id,
-            problem.testbench_source,
-            tuple(sorted(problem.support_files.items())),
-            source,
-        )
-        gate = getattr(self._inner, method)
-        return self._memo.get(key, lambda: gate(source, problem), _keep_verdict)
-
-    def syntax_test(self, source: str, problem):
-        return self._gate("syntax_test", source, problem)
-
-    def function_test(self, source: str, problem):
-        return self._gate("function_test", source, problem)
-
-
-class MemoChecker(_Wrapper):
-    def run(self, source: str) -> tuple[str, str]:
-        inner = self._inner
-        key = (inner.language.value, inner.check_cmd, source)
-
-        def keep(result: tuple[str, str]) -> bool:
-            status, diagnostics = result
-            return status != "error" and diagnostics != inner.timeout_diagnostics()
-
-        return self._memo.get(key, lambda: inner.run(source), keep)

@@ -17,7 +17,8 @@ flight (one gate in front of the backend), at most one simulator
 evaluation per CPU (simulator.MAX_CONCURRENCY; an evaluation holds
 its slot, and one pooled workspace, from compile through run), and no
 ceiling of their own for the checkers.  A slot that waits for the
-simulator holds no LLM seat.
+simulator holds no LLM seat.  All trials of a run share one VerdictMemo,
+so a candidate that comes back is not evaluated or checked again.
 
 Trial failures degrade, never abort the benchmark: a failing agent loses
 its slot for that layer, and a trial whose cache is empty at aggregation
@@ -61,7 +62,7 @@ from .cache import (
 )
 from .errors import AuthError, InvariantViolationError, VerimoaError
 from .harness import vendi_score
-from .memo import MemoChecker, MemoSimulator, VerdictMemo
+from .memo import VerdictMemo
 from .problems import Benchmark, DesignProblem, RunConfig
 
 
@@ -130,6 +131,7 @@ def _run_slot(
                 layer,
                 caller,
                 checks,
+                memo=memo,
             )
         rounds = sim_refine(
             source,
@@ -181,8 +183,8 @@ def run_trial(
 ) -> None:
     """One full pipeline episode for one problem.  Its trace ends in
     trial_result, or in trial_error (a non-pass) when no candidate survives
-    to aggregation; nothing is returned.  Structural facts are kept in
-    memo, Vendi profiles per trial.
+    to aggregation; nothing is returned.  Each gate verdict, check and
+    structural fact is looked up in memo; Vendi profiles are kept per trial.
 
     The slots of each layer run on the trial's own pool of layer_width
     workers; each returns its finished trace events and cache entries, and
@@ -373,9 +375,9 @@ def run_benchmark(
     sending once that many in a row found the backend exhausted; the
     simulator keeps its own gate of one evaluation per CPU, and the checkers
     have no ceiling of their own.  A language missing from checkers gets
-    the stub checker.  The simulator and the checkers are put behind one
-    VerdictMemo for this call, which also keeps structural facts, so each
-    distinct candidate is evaluated and analysed once per run.
+    the stub checker.  One VerdictMemo for this call is passed down to every
+    gate, check and fact extraction, so sim and checkers see only its misses:
+    each distinct candidate is evaluated and analysed once per run.
     Nothing is returned: a trial without candidates ends its trace in
     trial_error, a non-pass.  The first error a trial raises (an AuthError,
     say) cancels the queued trials and is re-raised.
@@ -384,9 +386,8 @@ def run_benchmark(
     width = llm_seats(jobs, config)
     backend = GatedBackend(backend, width)
     memo = VerdictMemo()
-    sim = MemoSimulator(sim, memo)
     given, rounds = checkers or {}, config.max_stage1_refine_rounds
-    checkers = {lang: MemoChecker(given.get(lang) or stub_checker(lang, rounds), memo)
+    checkers = {lang: given.get(lang) or stub_checker(lang, rounds)
                 for lang in IntermediateLanguage}
     write_manifest(run_dir, benchmark, config, backend.backend_id)
 

@@ -5,8 +5,8 @@ gate is the compile command, the functional gate compiles the candidate
 with the golden testbench and runs it.  A run passes only when the process
 exits 0 AND the pass marker appears in its output, because HDL testbenches
 routinely exit 0 after printing mismatches.  The marker is looked for in
-the whole output as it is read; only the first and the last LOG_CAP_BYTES
-bytes are kept, and the stored log is truncated further.
+the whole output as it is read, and the log kept is capped once, at
+LOG_CAP_BYTES, always keeping the tail, where failures live.
 
 Every evaluation leases a private workspace directory from a
 WorkspacePool, so concurrent evaluations never collide.  A lease holds
@@ -43,6 +43,7 @@ MAX_CONCURRENCY = os.cpu_count() or 4
 
 LOG_CAP_BYTES = 64 * 1024
 LOG_TAIL_BYTES = 8 * 1024
+_NOTE_ROOM = 64  # what a capped log's head gives up for the dropped-bytes note
 
 
 @dataclass(frozen=True)
@@ -72,18 +73,6 @@ class SimVerdict:
     log: str
     duration_ms: int
     timed_out: bool = False
-
-
-_TRUNCATION_NOTE = "\n...[log truncated]...\n"
-
-
-def truncate_log(log: str) -> str:
-    """Cap log size at LOG_CAP_BYTES characters, always keeping the tail,
-    where failures live."""
-    if len(log) <= LOG_CAP_BYTES:
-        return log
-    head = log[: LOG_CAP_BYTES - LOG_TAIL_BYTES - len(_TRUNCATION_NOTE)]
-    return head + _TRUNCATION_NOTE + log[-LOG_TAIL_BYTES:]
 
 
 @functools.lru_cache(maxsize=64)
@@ -157,10 +146,10 @@ def run_in_session(
 
 
 class _CappedOutput:
-    """A command's output as it is read, in bounded memory: the first and
-    the last LOG_CAP_BYTES bytes, with a note of how many bytes between
-    them were dropped, and whether marker appeared anywhere in the stream.
-    Output of up to 2 * LOG_CAP_BYTES bytes is kept whole."""
+    """A command's output as it is read, in bounded memory, and whether
+    marker appeared anywhere in it: up to LOG_CAP_BYTES bytes whole, else
+    its head, one note of how many bytes after it were dropped, and its
+    last LOG_TAIL_BYTES, LOG_CAP_BYTES in all."""
 
     def __init__(self, marker: bytes | None) -> None:
         self._head = bytearray()
@@ -175,17 +164,19 @@ class _CappedOutput:
             window = self._carry + data
             self.seen = self._marker in window
             self._carry = window[max(len(window) - len(self._marker) + 1, 0):]
-        room = LOG_CAP_BYTES - len(self._head)
+        room = LOG_CAP_BYTES - LOG_TAIL_BYTES - len(self._head)
         self._head += data[:room]
         self._tail += data[room:]
-        excess = len(self._tail) - LOG_CAP_BYTES
+        excess = len(self._tail) - LOG_TAIL_BYTES
         if excess > 0:
             del self._tail[:excess]
             self._dropped += excess
 
     def value(self) -> bytes:
-        note = b"\n...[%d bytes dropped]...\n" % self._dropped if self._dropped else b""
-        return bytes(self._head + note + self._tail)
+        if not self._dropped:
+            return bytes(self._head + self._tail)
+        note = b"\n...[%d bytes dropped]...\n" % (self._dropped + _NOTE_ROOM)
+        return bytes(self._head[:-_NOTE_ROOM] + note + self._tail)
 
 
 def _read_until_exit(proc: subprocess.Popen, timeout_s: float, output: _CappedOutput) -> None:
@@ -387,7 +378,7 @@ class ExternalSimulator:
                     )
                     phase = SimPhase.RUN
                     duration += run_ms
-                verdict = SimVerdict(phase, passed, truncate_log(log), duration, timed_out)
+                verdict = SimVerdict(phase, passed, log, duration, timed_out)
                 return verdict
             finally:
                 passed = verdict is not None and verdict.passed

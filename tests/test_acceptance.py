@@ -301,6 +301,7 @@ class _CountingBackend:
 @dataclass(frozen=True)
 class _FakeChecker:
     max_rounds: int
+    check_cmd: str = "fake-checker {source}"
 
     def run(self, source: str):
         if "CHECKFAIL" in source:

@@ -17,6 +17,7 @@ from conftest import (
 )
 from verimoa.agents import (
     CANDIDATE_MARKER_RE,
+    CHECKER_TIMEOUT_DIAGNOSTICS,
     SYSTEM_PROMPTS,
     TEMPLATE_NAMES,
     TEMPLATE_PLACEHOLDERS,
@@ -85,6 +86,8 @@ def verilog_reply(source=CLEAN_MODULE):
 
 class ListChecker:
     """Checker returning a scripted sequence of statuses."""
+
+    check_cmd = "list-checker {source}"
 
     def __init__(self, statuses, max_rounds=None):
         self.statuses = list(statuses)
@@ -221,6 +224,7 @@ class TestTwoStageAgent:
         hdl, intermediate = run_twostage_agent(
             spec_for(AgentPath.CPP), make_problem(), list(hdl_refs),
             list(int_refs), checker, layer=layer, caller=caller, checks=checks,
+            memo=VerdictMemo(),
         )
         return hdl, intermediate, caller.prompts, checks
 
@@ -370,7 +374,7 @@ class TestIntermediateChecker:
             language=IntermediateLanguage.CPP,
             check_cmd="sh -c %s {source}" % shlex.quote(script),
         )
-        assert checker.run("int x;") == ("fail", checker.timeout_diagnostics())
+        assert checker.run("int x;") == ("fail", CHECKER_TIMEOUT_DIAGNOSTICS)
         assert_gone_within_a_second(int(pid_file.read_text()))
 
     def test_an_uncreatable_workspace_is_error_status(self, tmp_path, monkeypatch):
@@ -399,7 +403,7 @@ class TestIntermediateChecker:
             language=IntermediateLanguage.CPP,
             check_cmd="sh -c %s sh {source}" % shlex.quote("grep -q SLOW \"$1\" && sleep 30; pwd"),
         )
-        assert checker.run("SLOW") == ("fail", checker.timeout_diagnostics())
+        assert checker.run("SLOW") == ("fail", CHECKER_TIMEOUT_DIAGNOSTICS)
         assert workspaces_in(workspace_leak_guard) == []
         first = checker.run("quick")
         assert first[0] == "pass"
@@ -419,6 +423,17 @@ class TestIntermediateChecker:
         assert status == "fail"
         assert len(diagnostics) <= LOG_CAP_BYTES
         assert diagnostics.endswith("END_MARKER\n")
+
+    def test_a_long_output_is_capped_once(self):
+        script = "head -c %d /dev/zero | tr '\\0' x; exit 1" % (100 * 1024)
+        checker = IntermediateChecker(
+            language=IntermediateLanguage.CPP,
+            check_cmd="sh -c %s sh {source}" % shlex.quote(script),
+        )
+        _, diagnostics = checker.run("int x;")
+        assert diagnostics.count("bytes dropped") == 1
+        assert "[log truncated]" not in diagnostics
+        assert len(diagnostics) <= LOG_CAP_BYTES
 
     def test_missing_checker_binary_is_error_status(self):
         checker = IntermediateChecker(

@@ -8,10 +8,22 @@ import importlib.util
 import inspect
 import os
 
-from conftest import CLEAN_MODULE, REPO_ROOT, FakeSimulator, make_problem, trial_collaborators
+from conftest import (
+    CLEAN_MODULE,
+    PROGRESSIVE_CONFIG,
+    PROGRESSIVE_RULES,
+    REPO_ROOT,
+    TOY_BENCH,
+    FakeSimulator,
+    make_problem,
+    trial_collaborators,
+)
 from verimoa import cache, orchestrator
-from verimoa.backends import ResponseRule, RuleBackend
-from verimoa.problems import RunConfig
+from verimoa.agents import stub_checker
+from verimoa.backends import ResponseRule, RuleBackend, load_scripted
+from verimoa.cache import IntermediateLanguage
+from verimoa.problems import RunConfig, load_benchmark, load_config
+from verimoa.simulator import stub_simulator
 
 
 def load_tracing():
@@ -68,3 +80,35 @@ def test_a_traced_trial_is_seen_by_every_hook(tmp_path):
     slots = [s for s in tracer.spans if s["name"] == "orchestrator.slot"]
     assert sorted(s["layer"] for s in slots) == [1, 1, 1, 2, 2, 2]
     assert all(s["parent"] == trial["id"] for s in slots)
+
+
+def test_a_traced_progressive_run_sees_only_memo_misses(tmp_path):
+    # A run traced as the benchmark traces a round: the simulator and the
+    # checkers it is handed see one call per distinct evaluation, while the
+    # gated evaluations and cache inserts count every one.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    hooks = tracing.Hooks(tracer)
+    config = load_config(PROGRESSIVE_CONFIG)
+    checkers = {
+        lang: tracing.TracedChecker(stub_checker(lang, config.max_stage1_refine_rounds), tracer)
+        for lang in IntermediateLanguage
+    }
+    try:
+        hooks.install()
+        orchestrator.run_benchmark(
+            load_benchmark(TOY_BENCH), config, load_scripted(PROGRESSIVE_RULES),
+            tracing.TracedSimulator(stub_simulator(), tracer), str(tmp_path / "run"),
+            jobs=2, checkers=checkers,
+        )
+    finally:
+        hooks.restore()
+    metrics = tracing.layer_metrics(tracer, hooks.missing)
+    assert {name: metrics[name] for name in (
+        "simulator.function_calls", "simulator.syntax_calls", "agents.checker_calls",
+        "analyzer.facts_calls", "simulator.gated_evals", "cache.inserts",
+    )} == {
+        "simulator.function_calls": 8, "simulator.syntax_calls": 0,
+        "agents.checker_calls": 2, "analyzer.facts_calls": 5,
+        "simulator.gated_evals": 70, "cache.inserts": 60,
+    }

@@ -16,13 +16,24 @@ from conftest import (
     make_problem,
 )
 from verimoa import agents
-from verimoa.agents import stub_checker
-from verimoa.backends import load_scripted
-from verimoa.cache import IntermediateLanguage
+from verimoa.agents import (
+    CHECKER_TIMEOUT_DIAGNOSTICS,
+    AgentSpec,
+    Caller,
+    CheckerRecord,
+    IntermediateChecker,
+    gated_evaluation,
+    load_templates,
+    run_twostage_agent,
+    stub_checker,
+)
+from verimoa.backends import ResponseRule, RuleBackend, load_scripted
+from verimoa.cache import AgentPath, IntermediateLanguage
 from verimoa.errors import SimulatorUnavailableError
-from verimoa.memo import MemoChecker, MemoSimulator, VerdictMemo
+from verimoa.memo import VerdictMemo
 from verimoa.orchestrator import run_benchmark
-from verimoa.problems import load_benchmark, load_config
+from verimoa.problems import Sampling, load_benchmark, load_config
+from verimoa.scoring import ScoreConstants
 from verimoa.simulator import stub_simulator
 
 
@@ -77,33 +88,61 @@ class TestRunBenchmark:
                 assert (spawns[0], facts_calls[0]) == (18, 5), jobs
 
 
+def evaluate(source, sim, memo, problem=None, run_functional=True):
+    return gated_evaluation(source, problem or make_problem(), sim, ScoreConstants(),
+                            run_functional, memo=memo)
+
+
+def check(checker, model, memo):
+    """One layer-1 agent of checker's language whose stage 1 answers model;
+    returns its checks."""
+    path = AgentPath.PY if checker.language is IntermediateLanguage.PYTHON else AgentPath.CPP
+    backend = RuleBackend([
+        ResponseRule(text="```%s\n%s\n```" % (checker.language.value, model),
+                     tag_contains="stage1"),
+        ResponseRule(text="```verilog\n%s\n```" % CLEAN_MODULE),
+    ])
+    checks = []
+    spec = AgentSpec(path=path, slot=1, templates=load_templates()[path.value])
+    run_twostage_agent(spec, make_problem(), [], [], checker, 1,
+                       Caller(backend, Sampling(), "widget/t0/L1/S1"), checks, memo=memo)
+    return checks
+
+
 class TestMemoSimulator:
+    """gated_evaluation looks each gate verdict up in the memo it is given."""
+
     def test_repeat_is_a_hit(self, tmp_path, spawns):
         memo = VerdictMemo()
-        sim = MemoSimulator(stub_simulator(workspace_root=str(tmp_path)), memo)
-        first = sim.syntax_test(CLEAN_MODULE, make_problem())
-        assert sim.syntax_test(CLEAN_MODULE, make_problem()) is first
-        assert spawns[0] == 1
+        sim = stub_simulator(workspace_root=str(tmp_path))
+        first = evaluate(CLEAN_MODULE, sim, memo)
+        assert evaluate(CLEAN_MODULE, sim, memo) == first
+        assert spawns[0] == 2  # one compile and one run
         assert (memo.hits, memo.misses) == (1, 1)
 
     def test_key_covers_gate_problem_and_source(self):
-        fake = FakeSimulator()
-        sim = MemoSimulator(fake, VerdictMemo())
-        sim.syntax_test(CLEAN_MODULE, make_problem())
-        sim.function_test(CLEAN_MODULE, make_problem())
-        sim.syntax_test(CLEAN_MODULE + "//", make_problem())
-        sim.syntax_test(CLEAN_MODULE, make_problem("other"))
-        sim.syntax_test(CLEAN_MODULE, make_problem(testbench_source="module t2; endmodule"))
-        sim.syntax_test(CLEAN_MODULE, make_problem(support_files={"lib.v": "// lib"}))
+        fake, memo = FakeSimulator(), VerdictMemo()
+        for _ in range(2):
+            evaluate(CLEAN_MODULE, fake, memo, run_functional=False)
+            evaluate(CLEAN_MODULE, fake, memo)
+            evaluate(CLEAN_MODULE + "//", fake, memo, run_functional=False)
+            for problem in (
+                make_problem("other"),
+                make_problem(testbench_source="module t2; endmodule"),
+                make_problem(support_files={"lib.v": "// lib"}),
+            ):
+                evaluate(CLEAN_MODULE, fake, memo, problem, run_functional=False)
         assert len(fake.calls) == 6
 
     def test_timed_out_verdict_is_computed_again(self, tmp_path, spawns):
         memo = VerdictMemo()
-        sim = MemoSimulator(stub_simulator(workspace_root=str(tmp_path)), memo)
+        sim = stub_simulator(workspace_root=str(tmp_path))
         problem = make_problem(timeout_ms=200)
         slow = CLEAN_MODULE + "// SLEEP_MS=3000"
-        assert sim.syntax_test(slow, problem).timed_out
-        assert sim.syntax_test(slow, problem).timed_out
+        for _ in range(2):
+            score, feedback = evaluate(slow, sim, memo, problem, run_functional=False)
+            assert not score.syntax_pass
+            assert feedback.endswith("[timeout after 200 ms]")
         assert spawns[0] == 2
 
     def test_raised_error_is_not_memoized(self):
@@ -114,45 +153,41 @@ class TestMemoSimulator:
                     raise SimulatorUnavailableError("simulator went away")
                 return super().syntax_test(source, problem)
 
-        fake = FlakySimulator()
-        sim = MemoSimulator(fake, VerdictMemo())
+        fake, memo = FlakySimulator(), VerdictMemo()
         with pytest.raises(SimulatorUnavailableError):
-            sim.syntax_test(CLEAN_MODULE, make_problem())
-        assert sim.syntax_test(CLEAN_MODULE, make_problem()).passed
-        assert sim.syntax_test(CLEAN_MODULE, make_problem()).passed
+            evaluate(CLEAN_MODULE, fake, memo, run_functional=False)
+        assert evaluate(CLEAN_MODULE, fake, memo, run_functional=False)[0].syntax_pass
+        assert evaluate(CLEAN_MODULE, fake, memo, run_functional=False)[0].syntax_pass
         assert fake.calls == ["raised", ("compile", "widget")]
-
-    def test_other_attributes_pass_through(self):
-        inner = stub_simulator()
-        assert MemoSimulator(inner, VerdictMemo()).config is inner.config
 
 
 class TestMemoChecker:
+    """run_twostage_agent looks each check up in the memo it is given."""
+
     def test_pass_and_fail_are_kept(self, spawns):
-        checker = MemoChecker(stub_checker(IntermediateLanguage.PYTHON), VerdictMemo())
-        for source in ("x = 1", "x = 1", "# CHECKFAIL", "# CHECKFAIL"):
-            checker.run(source)
+        checker, memo = stub_checker(IntermediateLanguage.PYTHON), VerdictMemo()
+        statuses = [check(checker, model, memo)[0].status
+                    for model in ("x = 1", "x = 1", "# CHECKFAIL", "# CHECKFAIL")]
+        assert statuses == ["pass", "pass", "fail", "fail"]
         assert spawns[0] == 2
-        assert checker.max_rounds == 1
 
     def test_launch_error_is_not_kept(self, spawns):
-        inner = stub_checker(IntermediateLanguage.CPP)
-        broken = type(inner)(inner.language, "verimoa-no-such-checker {source}")
-        checker = MemoChecker(broken, VerdictMemo())
-        assert checker.run("int x;")[0] == "error"
-        assert checker.run("int x;")[0] == "error"
+        broken = IntermediateChecker(IntermediateLanguage.CPP, "verimoa-no-such-checker {source}")
+        memo = VerdictMemo()
+        assert check(broken, "int x;", memo)[0].status == "error"
+        assert check(broken, "int x;", memo)[0].status == "error"
         assert spawns[0] == 2
 
     def test_timeout_is_not_kept(self, spawns, monkeypatch):
         monkeypatch.setattr(agents, "CHECKER_TIMEOUT_MS", 200)
-        inner = stub_checker(IntermediateLanguage.CPP)
-        slow = type(inner)(
-            inner.language,
+        slow = IntermediateChecker(
+            IntermediateLanguage.CPP,
             "%s -c 'import time; time.sleep(5)' {source}" % shlex.quote(sys.executable),
         )
-        checker = MemoChecker(slow, VerdictMemo())
-        assert checker.run("int x;") == ("fail", slow.timeout_diagnostics())
-        assert checker.run("int x;") == ("fail", slow.timeout_diagnostics())
+        memo = VerdictMemo()
+        timed_out = [CheckerRecord(1, "fail", CHECKER_TIMEOUT_DIAGNOSTICS)]
+        assert check(slow, "int x;", memo) == timed_out
+        assert check(slow, "int x;", memo) == timed_out
         assert spawns[0] == 2
 
 

@@ -29,6 +29,7 @@ from verimoa.backends import (
 )
 from verimoa.cache import IntermediateLanguage
 from verimoa.errors import AuthError, BackendExhaustedError, InvariantViolationError
+from verimoa.memo import VerdictMemo
 from verimoa.orchestrator import run_benchmark, run_trial, write_manifest
 from verimoa.problems import (
     Benchmark,
@@ -480,33 +481,51 @@ class GateCountingSimulator:
         return self.sim.function_test(source, problem)
 
 
+class GateLookupMemo(VerdictMemo):
+    """Counts the gate verdicts looked up, by gate."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lookups = Counter()
+        self._count_lock = threading.Lock()
+
+    def get(self, key, compute, keep=None):
+        gate = {"syntax_test": "syntax", "function_test": "function"}.get(key[0])
+        if gate is not None:
+            with self._count_lock:
+                self.lookups[gate] += 1
+        return super().get(key, compute, keep)
+
+
 class TestGateCalls:
     @pytest.mark.parametrize(
         "refine, run_functional, expected",
         [
-            (False, True, {"function": 35}),
-            (False, False, {"syntax": 30, "function": 5}),
-            (True, True, {"function": 58}),
-            (True, False, {"syntax": 70, "function": 5}),
+            (False, True, ({"function": 35}, {"function": 8})),
+            (False, False, ({"syntax": 30, "function": 5}, {"syntax": 8, "function": 5})),
+            (True, True, ({"function": 58}, {"function": 8})),
+            (True, False, ({"syntax": 70, "function": 5}, {"syntax": 8, "function": 5})),
         ],
     )
     def test_gate_calls_per_trial(self, tmp_path, refine, run_functional, expected):
-        # One trial per toy problem under the progressive rules, with no
-        # verdict memo: every gate call reaches the simulator.  With the
-        # functional gate off, only the final answer is compiled and run,
-        # and without refinement it is evaluated once, not compiled first.
+        # One trial per toy problem under the progressive rules.  Every gate
+        # call is looked up in the memo, and the simulator serves only the
+        # distinct ones.  With the functional gate off, only the final
+        # answer is compiled and run, and without refinement it is evaluated
+        # once, not compiled first.
         config = load_config(PROGRESSIVE_CONFIG)
         if refine:
             config = dataclasses.replace(config, enable_sim_refinement=True)
-        sim = GateCountingSimulator(stub_simulator())
+        sim, memo = GateCountingSimulator(stub_simulator()), GateLookupMemo()
         for problem in load_benchmark(TOY_BENCH).problems:
             run_trial(
                 problem, config, load_scripted(PROGRESSIVE_RULES), sim,
                 seed=config.random_seed, trial_index=0,
                 trace_path=str(tmp_path / problem.id / "trace.jsonl"),
-                run_functional=run_functional, **trial_collaborators(config),
+                run_functional=run_functional,
+                **trial_collaborators(config) | {"memo": memo},
             )
-        assert sim.calls == expected
+        assert (memo.lookups, sim.calls) == expected
 
 
 class PeekBackend:

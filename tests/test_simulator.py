@@ -34,7 +34,6 @@ from verimoa.simulator import (
     simcheck,
     stub_script_cmd,
     stub_simulator,
-    truncate_log,
 )
 
 PY = shlex.quote(sys.executable)
@@ -75,17 +74,30 @@ class TestBuildArgv:
         assert argv == ["cc", "-D", "NAME=two words", "s.v", "-o", "o"]
 
 
+def capped(*chunks: bytes) -> bytes:
+    output = simulator._CappedOutput(None)
+    for chunk in chunks:
+        output.add(chunk)
+    return output.value()
+
+
 class TestTruncateLog:
+    """A command's log is capped once, as it is read, at LOG_CAP_BYTES."""
+
     def test_short_log_untouched(self):
-        assert truncate_log("x" * LOG_CAP_BYTES) == "x" * LOG_CAP_BYTES
+        log = b"x" * (LOG_CAP_BYTES - 1) + b"y"
+        assert capped(log[:1000], log[1000:]) == log
 
     def test_long_log_keeps_head_and_tail(self):
-        log = "H" * (LOG_CAP_BYTES - LOG_TAIL_BYTES) + "M" * 5000 + "T" * LOG_TAIL_BYTES
-        out = truncate_log(log)
-        assert "...[log truncated]..." in out
-        assert out.startswith("H")
-        assert out.endswith("T" * LOG_TAIL_BYTES)
-        assert len(out) == LOG_CAP_BYTES
+        chunks = (b"H" * (LOG_CAP_BYTES - LOG_TAIL_BYTES), b"M" * 5000, b"T" * LOG_TAIL_BYTES)
+        out = capped(*chunks)
+        assert len(out) <= LOG_CAP_BYTES
+        assert out.count(b"bytes dropped") == 1
+        head, rest = out.split(b"\n...[", 1)
+        note, tail = rest.split(b"]...\n", 1)
+        assert head == b"H" * len(head) and len(head) > LOG_CAP_BYTES // 2
+        assert tail == b"T" * LOG_TAIL_BYTES
+        assert note == b"%d bytes dropped" % (sum(map(len, chunks)) - len(head) - len(tail))
 
 
 class TestStubFlows:
@@ -534,23 +546,30 @@ FLOOD = "head -c %d /dev/zero | tr '\\0' x; printf %s"
 
 
 class TestBoundedOutput:
-    """The output read is capped at its first and last LOG_CAP_BYTES; the
-    pass marker is still found anywhere in the stream."""
+    """The output read is capped at LOG_CAP_BYTES, keeping its head and its
+    last LOG_TAIL_BYTES; the pass marker is still found anywhere in the stream."""
 
     def flood(self, tmp_path, n, text):
         argv = ["sh", "-c", FLOOD % (n, text)]
         return run_in_session(argv, str(tmp_path), 30.0, "ALL_TESTS_PASSED")
 
-    @pytest.mark.parametrize("n", [LOG_CAP_BYTES, 2 * LOG_CAP_BYTES - 4])
+    @pytest.mark.parametrize("n", [LOG_CAP_BYTES - LOG_TAIL_BYTES, LOG_CAP_BYTES - 4])
     def test_output_up_to_the_cap_is_kept_whole(self, tmp_path, n):
         code, output, seen = self.flood(tmp_path, n, "tail")
         assert (code, output, seen) == (0, b"x" * n + b"tail", False)
 
+    def test_one_byte_more_is_capped(self, tmp_path):
+        _, output, _ = self.flood(tmp_path, LOG_CAP_BYTES - 3, "tail")
+        assert output.count(b"bytes dropped") == 1 and output.endswith(b"tail")
+        assert len(output) <= LOG_CAP_BYTES
+
     def test_a_longer_output_keeps_its_head_and_tail(self, tmp_path):
         n = 3 * LOG_CAP_BYTES
         code, output, seen = self.flood(tmp_path, n, "END")
-        note = b"\n...[%d bytes dropped]...\n" % (n + 3 - 2 * LOG_CAP_BYTES)
-        assert output == b"x" * LOG_CAP_BYTES + note + b"x" * (LOG_CAP_BYTES - 3) + b"END"
+        head = LOG_CAP_BYTES - LOG_TAIL_BYTES - simulator._NOTE_ROOM
+        note = b"\n...[%d bytes dropped]...\n" % (n + 3 - head - LOG_TAIL_BYTES)
+        assert output == b"x" * head + note + b"x" * (LOG_TAIL_BYTES - 3) + b"END"
+        assert len(output) <= LOG_CAP_BYTES
         assert (code, seen) == (0, False)
 
     def test_a_marker_after_eight_caps_of_output_passes(self, tmp_path):
@@ -588,7 +607,7 @@ class TestBoundedOutput:
         finally:
             tracemalloc.stop()
         assert (code, seen) == (0, True)
-        assert len(output) < 2 * LOG_CAP_BYTES + 100
+        assert len(output) <= LOG_CAP_BYTES
         assert peak < 1_000_000
 
 
