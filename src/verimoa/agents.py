@@ -247,13 +247,14 @@ _ROLE_FENCE = {"hdl": "verilog", "aggregator": "verilog", "cpp": "cpp", "python"
 
 @dataclass
 class Caller:
-    """One slot's, or the aggregator's, LLM exchanges: each answered ask
-    is appended to prompts, and a request that raises leaves them as they were."""
+    """One slot's, or the aggregator's, record: each answered ask is appended
+    to prompts (one that raises appends nothing), each check to checks."""
 
     backend: object
     sampling: Sampling
     tag_prefix: str
     prompts: list[PromptRecord] = field(default_factory=list)
+    checks: list[CheckerRecord] = field(default_factory=list)
 
     def ask(self, stage: str, template: str, role: str, **fields) -> str:
         """Format template with fields, send it tagged tag_prefix/stage under
@@ -300,15 +301,14 @@ def run_twostage_agent(
     checker: IntermediateChecker,
     layer: int,
     caller: Caller,
-    checks: list[CheckerRecord],
     *,
     memo: VerdictMemo,
 ) -> tuple[str, str]:
     """Two-stage generation through an intermediate language.
 
     Returns (hdl_source, intermediate_source).  Each check is appended to
-    checks as it arrives, like each answered call to caller.prompts, so a
-    failing stage 2 leaves them there.  A broken checker downgrades to
+    caller.checks as it arrives, like each answered call to caller.prompts,
+    so a failing stage 2 leaves them there.  A broken checker downgrades to
     zero refinement rounds rather than failing the agent.  Each check is
     looked up in memo by language, check command and source, and is not
     kept if it is an error or a timeout.
@@ -332,7 +332,7 @@ def run_twostage_agent(
             lambda: checker.run(intermediate),
             lambda check: check[0] != "error" and check[1] != CHECKER_TIMEOUT_DIAGNOSTICS,
         )
-        checks.append(CheckerRecord(round_index, status, diagnostics))
+        caller.checks.append(CheckerRecord(round_index, status, diagnostics))
         if status != "fail":
             break
         intermediate = caller.ask(

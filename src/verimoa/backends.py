@@ -103,7 +103,6 @@ class HttpBackend:
         self,
         endpoint: str,
         model: str,
-        api_key: str | None = None,
         session: requests.Session | None = None,
         pool_size: int = 10,
     ) -> None:
@@ -112,7 +111,7 @@ class HttpBackend:
 
         self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        self.api_key = os.environ.get(API_KEY_ENV)
         if session is None:
             session = requests.Session()
             adapter = HTTPAdapter(pool_maxsize=pool_size)

@@ -29,7 +29,7 @@ from .errors import (
     VerimoaError,
     WorkspaceError,
 )
-from .harness import build_report, pass_table, scan_run
+from .harness import REPORT_NAME, build_report, pass_table, scan_run
 from .problems import load_benchmark, load_config, load_problem, read_text
 from .scoring import ScoreConstants
 from .simulator import (
@@ -206,7 +206,7 @@ def _cmd_passk(args) -> int:
 
 def _cmd_report(args) -> int:
     report = build_report(args.run, _parse_ks(args.k), write_csv=args.csv)
-    print("wrote %s" % os.path.join(args.run, "report.json"))
+    print("wrote %s" % os.path.join(args.run, REPORT_NAME))
     for k, value in sorted(report["pass_at_k"]["per_k"].items(), key=lambda kv: int(kv[0])):
         print("pass@%s = %.6f" % (k, value))
     return 0

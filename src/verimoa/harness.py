@@ -1,4 +1,4 @@
-"""Run analysis: pass@k, diversity, and report generation from traces.
+"""Run analysis: the trace layout, pass@k, diversity, and report generation.
 
 pass@k uses the unbiased estimator 1 - C(n-c, k)/C(n, k) in a stable
 product form (no factorials).  Diversity is the Vendi score (Friedman &
@@ -30,6 +30,11 @@ SIMILARITY_KIND = "cosine/char-3gram-tf"
 
 REPORT_NAME = "report.json"
 CURVES_NAME = "curves.csv"
+
+
+def trace_path(run_dir: str, problem_id: str, trial: int) -> str:
+    """Where a run directory keeps one trial's trace."""
+    return os.path.join(run_dir, problem_id, str(trial), "trace.jsonl")
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:
@@ -251,12 +256,12 @@ def scan_run(run_dir: str) -> RunScan:
         correct = 0
         branches: Counter = Counter()
         for trial in range(n_trials):
-            trace_path = os.path.join(run_dir, problem_id, str(trial), "trace.jsonl")
-            if not os.path.isfile(trace_path):
+            path = trace_path(run_dir, problem_id, trial)
+            if not os.path.isfile(path):
                 scan.incomplete += 1
                 continue
             saw_result = False
-            for where, event in read_jsonl(trace_path, CorruptTraceError):
+            for where, event in read_jsonl(path, CorruptTraceError):
                 kind = _check_event(event, where)
                 if kind == "cache_insert" and event.get("kind") == "hdl":
                     branches[event["score"]["branch"]] += 1

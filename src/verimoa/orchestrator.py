@@ -1,13 +1,13 @@
 """Trial execution: layered agents, cache barriers, aggregation, tracing.
 
-Within a trial, layers run strictly in sequence.  All agents of a layer
-run concurrently against an immutable snapshot of the cache; each slot
-asks the LLM through its own agents.Caller, evaluates its outputs and
-hands back its finished trace events (its llm_calls read from the
-caller's prompts) and cache entries, which the layer barrier writes and
-inserts in slot order.  The trace file therefore has one canonical event
-order per run, independent of thread scheduling, and carries no timing
-fields -- replay runs are byte-identical.
+Every trial and slot is handed its run's one Run.  Within a trial, layers
+run strictly in sequence.  All agents of a layer run concurrently against
+an immutable snapshot of the cache; each slot asks the LLM through its own
+agents.Caller, which keeps its answered calls and checks, evaluates its
+outputs and hands back its trace events, read from that Caller, and cache
+entries, which the layer barrier writes and inserts in slot order.  The
+trace has one canonical event order per run, independent of thread
+scheduling, and no timing fields -- replay runs are byte-identical.
 
 Each trial runs its layer_width slots on its own workers; the aggregator,
 its refinement and the final evaluation run on the trial's own thread.
@@ -17,8 +17,8 @@ flight (one gate in front of the backend), at most one simulator
 evaluation per CPU (simulator.MAX_CONCURRENCY; an evaluation holds
 its slot, and one pooled workspace, from compile through run), and no
 ceiling of their own for the checkers.  A slot that waits for the
-simulator holds no LLM seat.  All trials of a run share one VerdictMemo,
-so a candidate that comes back is not evaluated or checked again.
+simulator holds no LLM seat.  All trials of a run share its one memo
+(Run.memo), so a candidate that comes back is not evaluated or checked again.
 
 Trial failures degrade, never abort the benchmark: a failing agent loses
 its slot for that layer, and a trial whose cache is empty at aggregation
@@ -34,12 +34,12 @@ import os
 import statistics
 import sys
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from dataclasses import dataclass
 
 from . import __version__
 from .agents import (
     AgentSpec,
     Caller,
-    CheckerRecord,
     IntermediateChecker,
     PromptRecord,
     best_round,
@@ -61,9 +61,22 @@ from .cache import (
     PATH_LANGUAGE,
 )
 from .errors import AuthError, InvariantViolationError, VerimoaError
-from .harness import vendi_score
+from .harness import trace_path, vendi_score
 from .memo import VerdictMemo
 from .problems import Benchmark, DesignProblem, RunConfig
+
+
+@dataclass(frozen=True)
+class Run:
+    """What every trial and slot of one run_benchmark call shares."""
+
+    config: RunConfig
+    backend: GatedBackend
+    sim: object
+    templates: dict[str, dict[str, str]]
+    checkers: dict[IntermediateLanguage, IntermediateChecker]
+    memo: VerdictMemo
+    run_functional: bool
 
 
 class TraceWriter:
@@ -90,32 +103,21 @@ def _llm_call_event(layer: int, slot: int, record: PromptRecord) -> dict:
 
 
 def _run_slot(
-    spec: AgentSpec,
-    problem: DesignProblem,
-    layer: int,
-    hdl_refs,
-    int_refs_by_language,
-    backend,
-    sim,
-    config: RunConfig,
-    checkers,
-    tag_prefix: str,
-    run_functional: bool,
-    memo: VerdictMemo,
+    run: Run, spec: AgentSpec, problem: DesignProblem, layer: int, hdl_refs,
+    int_refs_by_language, tag_prefix: str,
 ) -> tuple[list[dict], list[HdlCacheEntry]]:
     """One agent slot of one layer, against the cache snapshot it is given.
 
     Returns (events, entries).  events are the slot's finished trace events
-    in the order the barrier writes them: its answered llm_calls, its
-    checker runs, then either agent_error or, for each round, a
-    cache_insert of its HDL followed, when the round carries a stage-1
-    model, by a cache_insert of that model.  entries are the rounds'
-    HdlCacheEntry, for the barrier to insert.  A failed slot keeps the
-    calls and checks it paid for and returns no entries; an AuthError
-    propagates.
+    in the order the barrier writes them: its answered llm_calls and its
+    checker runs, both read from the slot's Caller, then either agent_error
+    or, for each round, a cache_insert of its HDL followed, when the round
+    carries a stage-1 model, by a cache_insert of that model.  entries are
+    the rounds' HdlCacheEntry, for the barrier to insert.  A failed slot
+    keeps the calls and checks it paid for and returns no entries; an
+    AuthError propagates.
     """
-    caller = Caller(backend, config.sampling, tag_prefix)
-    checks: list[CheckerRecord] = []
+    caller = Caller(run.backend, run.config.sampling, tag_prefix)
     intermediate, rounds, failure = None, [], []
     try:
         if spec.path is AgentPath.BASE:
@@ -127,22 +129,21 @@ def _run_slot(
                 problem,
                 hdl_refs,
                 int_refs_by_language[language],
-                checkers[language],
+                run.checkers[language],
                 layer,
                 caller,
-                checks,
-                memo=memo,
+                memo=run.memo,
             )
         rounds = sim_refine(
             source,
             problem,
-            sim,
-            config.score_constants,
+            run.sim,
+            run.config.score_constants,
             spec.templates,
-            config.sim_refine_rounds,
+            run.config.sim_refine_rounds,
             caller,
-            run_functional,
-            memo=memo,
+            run.run_functional,
+            memo=run.memo,
         )
     except AuthError:
         raise
@@ -151,7 +152,7 @@ def _run_slot(
                     "error_code": exc.error_code, "message": str(exc)}]
     events = [_llm_call_event(layer, spec.slot, record) for record in caller.prompts]
     events += [{"event": "checker", "layer": layer, "slot": spec.slot, **vars(check)}
-               for check in checks] + failure
+               for check in caller.checks] + failure
     entries = []
     for rnd in rounds:
         # a stage-1 model rides on its round-0 HDL, and takes its score
@@ -167,34 +168,21 @@ def _run_slot(
     return events, entries
 
 
-def run_trial(
-    problem: DesignProblem,
-    config: RunConfig,
-    backend,
-    sim,
-    seed: int,
-    trial_index: int,
-    trace_path: str,
-    *,
-    templates: dict[str, dict[str, str]],
-    checkers: dict[IntermediateLanguage, IntermediateChecker],
-    memo: VerdictMemo,
-    run_functional: bool = True,
-) -> None:
-    """One full pipeline episode for one problem.  Its trace ends in
-    trial_result, or in trial_error (a non-pass) when no candidate survives
-    to aggregation; nothing is returned.  Each gate verdict, check and
-    structural fact is looked up in memo; Vendi profiles are kept per trial.
+def run_trial(run: Run, problem: DesignProblem, trial_index: int, trace_path: str) -> None:
+    """One full pipeline episode for one problem, its seed random_seed +
+    trial_index.  Its trace ends in trial_result, or in trial_error (a
+    non-pass) when no candidate survives to aggregation; nothing is returned.
+    Every lookup goes through run.memo; Vendi profiles are kept per trial.
 
     The slots of each layer run on the trial's own pool of layer_width
     workers; each returns its finished trace events and cache entries, and
     this thread writes and inserts them in slot order at each barrier, so
     the trace order does not depend on which worker ran what.
     """
-    similarity: dict = {}
+    config, similarity = run.config, {}
 
     specs = [
-        AgentSpec(path=path, slot=slot, templates=templates[path.value])
+        AgentSpec(path=path, slot=slot, templates=run.templates[path.value])
         for slot, path in enumerate(config.mixture_paths(), start=1)
     ]
     cache = GlobalCache()
@@ -208,7 +196,7 @@ def run_trial(
                 "event": "trial_start",
                 "problem": problem.id,
                 "trial": trial_index,
-                "seed": seed,
+                "seed": config.random_seed + trial_index,
             }
         )
         writer.flush()
@@ -220,18 +208,13 @@ def run_trial(
             futures = [
                 pool.submit(
                     _run_slot,
+                    run,
                     spec,
                     problem,
                     layer,
                     window,
                     int_refs_by_language,
-                    backend,
-                    sim,
-                    config,
-                    checkers,
                     "%s/t%d/L%d/S%d" % (problem.id, trial_index, layer, spec.slot),
-                    run_functional,
-                    memo,
                 )
                 for spec in specs
             ]
@@ -251,9 +234,9 @@ def run_trial(
                           "message": "no scorable candidates reached aggregation"})
             return
         caller = Caller(
-            backend, config.sampling, "%s/t%d/L%d/S1" % (problem.id, trial_index, agg_layer)
+            run.backend, config.sampling, "%s/t%d/L%d/S1" % (problem.id, trial_index, agg_layer)
         )
-        source, fallback = run_aggregator(problem, window, templates["aggregator"], caller)
+        source, fallback = run_aggregator(problem, window, run.templates["aggregator"], caller)
         for record in caller.prompts:
             writer.write(_llm_call_event(agg_layer, 1, record))
         writer.write(
@@ -269,18 +252,18 @@ def run_trial(
 
         # With no rounds to run, one evaluation under the functional gate is
         # final; a compile-only loop's chosen round is evaluated again.
-        functional_gate = run_functional or config.sim_refine_rounds == 0
+        functional_gate = run.run_functional or config.sim_refine_rounds == 0
         written = len(caller.prompts)
         rounds = sim_refine(
             source,
             problem,
-            sim,
+            run.sim,
             config.score_constants,
-            templates["aggregator"],
+            run.templates["aggregator"],
             config.sim_refine_rounds,
             caller,
             functional_gate,
-            memo=memo,
+            memo=run.memo,
         )
         for record in caller.prompts[written:]:
             writer.write(_llm_call_event(agg_layer, 1, record))
@@ -288,7 +271,7 @@ def run_trial(
         final_score = chosen.score
         if not functional_gate:
             final_score, _ = gated_evaluation(
-                chosen.source, problem, sim, config.score_constants, True, memo
+                chosen.source, problem, run.sim, config.score_constants, True, run.memo
             )
         writer.write(
             {
@@ -375,37 +358,35 @@ def run_benchmark(
     sending once that many in a row found the backend exhausted; the
     simulator keeps its own gate of one evaluation per CPU, and the checkers
     have no ceiling of their own.  A language missing from checkers gets
-    the stub checker.  One VerdictMemo for this call is passed down to every
-    gate, check and fact extraction, so sim and checkers see only its misses:
-    each distinct candidate is evaluated and analysed once per run.
+    the stub checker.  Every trial and slot gets the call's one Run, whose
+    memo every gate, check and fact lookup uses, so sim and checkers see only
+    its misses: each distinct candidate is evaluated and analysed once per run.
     Nothing is returned: a trial without candidates ends its trace in
     trial_error, a non-pass.  The first error a trial raises (an AuthError,
     say) cancels the queued trials and is re-raised.
     """
-    templates = templates or load_templates()
     width = llm_seats(jobs, config)
-    backend = GatedBackend(backend, width)
-    memo = VerdictMemo()
     given, rounds = checkers or {}, config.max_stage1_refine_rounds
-    checkers = {lang: given.get(lang) or stub_checker(lang, rounds)
-                for lang in IntermediateLanguage}
-    write_manifest(run_dir, benchmark, config, backend.backend_id)
+    run = Run(
+        config=config,
+        backend=GatedBackend(backend, width),
+        sim=sim,
+        templates=templates or load_templates(),
+        checkers={lang: given.get(lang) or stub_checker(lang, rounds)
+                  for lang in IntermediateLanguage},
+        memo=VerdictMemo(),
+        run_functional=run_functional,
+    )
+    write_manifest(run_dir, benchmark, config, run.backend.backend_id)
 
     with ThreadPoolExecutor(max_workers=width) as trials:
         futures = [
             trials.submit(
                 run_trial,
+                run,
                 problem,
-                config,
-                backend,
-                sim,
-                seed=config.random_seed + trial,
-                trial_index=trial,
-                trace_path=os.path.join(run_dir, problem.id, str(trial), "trace.jsonl"),
-                templates=templates,
-                checkers=checkers,
-                run_functional=run_functional,
-                memo=memo,
+                trial,
+                trace_path(run_dir, problem.id, trial),
             )
             for problem in benchmark.problems
             for trial in range(config.trials)

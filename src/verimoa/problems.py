@@ -174,6 +174,10 @@ def load_problem(problem_dir: str, expected_id: str | None = None) -> DesignProb
         raise MalformedIndexError(
             "%s: field 'support_files' must be a list of file names" % meta_path
         )
+    for name in support_names:
+        if os.path.isabs(name) or os.pardir in name.split(os.sep):
+            raise MalformedIndexError("%s: support_files entry %r is outside the problem "
+                                      "directory" % (meta_path, name))
 
     def text(name: str) -> str:
         return read_text(os.path.join(problem_dir, name), MalformedIndexError)

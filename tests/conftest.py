@@ -11,17 +11,17 @@ import random
 import signal
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 
 from verimoa.agents import load_templates, stub_checker
 from verimoa.analyzer import AlwaysBlockFacts, Sensitivity, StructuralFacts
-from verimoa.backends import load_scripted
+from verimoa.backends import GatedBackend, load_scripted
 from verimoa.cache import AgentPath, CandidateId, HdlCacheEntry, IntermediateLanguage
 from verimoa.harness import build_report
 from verimoa.memo import VerdictMemo
-from verimoa.orchestrator import run_benchmark
+from verimoa.orchestrator import Run, llm_seats, run_benchmark
 from verimoa.problems import DesignProblem, load_benchmark, load_config
 from verimoa.scoring import QualityScore, ScoreBranch
 from verimoa.simulator import SimPhase, SimVerdict, stub_simulator
@@ -165,6 +165,7 @@ def write_problem(root, pid, meta=None, spec="Build the thing.",
     (pdir / "spec.md").write_text(spec, encoding="utf-8")
     (pdir / "testbench.v").write_text(testbench, encoding="utf-8")
     for name, content in extra_files:
+        (pdir / name).parent.mkdir(exist_ok=True)
         (pdir / name).write_text(content, encoding="utf-8")
     return str(pdir)
 
@@ -176,17 +177,23 @@ def write_benchmark(root, ids):
     return str(root)
 
 
-def trial_collaborators(config) -> dict:
-    """run_trial's templates, checkers and memo as run_benchmark resolves
-    them by default: packaged templates, stub checkers, a fresh memo."""
-    return dict(
+def trial_run(config, backend, sim, **overrides) -> Run:
+    """The Run run_benchmark builds by default, at its default jobs:
+    packaged templates, stub checkers, a fresh memo, the functional gate
+    on; overrides replace fields of it."""
+    run = Run(
+        config=config,
+        backend=GatedBackend(backend, llm_seats(4, config)),
+        sim=sim,
         templates=load_templates(),
         checkers={
             lang: stub_checker(lang, config.max_stage1_refine_rounds)
             for lang in IntermediateLanguage
         },
         memo=VerdictMemo(),
+        run_functional=True,
     )
+    return replace(run, **overrides)
 
 
 def make_quality(value: float) -> QualityScore:

@@ -34,7 +34,7 @@ from conftest import (
     make_problem,
     random_facts,
     session_elapsed,
-    trial_collaborators,
+    trial_run,
 )
 from verimoa.agents import gated_evaluation
 from verimoa.backends import ResponseRule, RuleBackend
@@ -353,17 +353,9 @@ def test_criterion_08_call_count_law(tmp_path):
         )
         checker = _FakeChecker(max_rounds=stage1_rounds)
         trace_path = str(tmp_path / ("audit%d" % case) / "trace.jsonl")
-        run_trial(
-            problem,
-            config,
-            backend,
-            FakeSimulator(),
-            seed=case,
-            trial_index=0,
-            trace_path=trace_path,
-            **trial_collaborators(config)
-            | {"checkers": {lang: checker for lang in IntermediateLanguage}},
-        )
+        checkers = {lang: checker for lang in IntermediateLanguage}
+        run_trial(trial_run(config, backend, FakeSimulator(), checkers=checkers),
+                  problem, 0, trace_path)
 
         refine = sim_rounds if (enable and hdl_fails) else 0
         per_slot = {

@@ -220,13 +220,11 @@ class TestBaseAgent:
 class TestTwoStageAgent:
     def run(self, checker, responses, int_refs=(), hdl_refs=(), layer=2):
         caller = Caller(ScriptedBackend(list(responses)), SAMPLING, "p/t1/L%d/S2" % layer)
-        checks = []
         hdl, intermediate = run_twostage_agent(
             spec_for(AgentPath.CPP), make_problem(), list(hdl_refs),
-            list(int_refs), checker, layer=layer, caller=caller, checks=checks,
-            memo=VerdictMemo(),
+            list(int_refs), checker, layer=layer, caller=caller, memo=VerdictMemo(),
         )
-        return hdl, intermediate, caller.prompts, checks
+        return hdl, intermediate, caller.prompts, caller.checks
 
     def test_clean_pass_through(self):
         responses = ["```cpp\nint model() { return 1; }\n```", verilog_reply()]

@@ -477,13 +477,14 @@ def ok_response(text="hello", usage=None):
 
 
 def http_backend(session):
-    return HttpBackend("http://unit.test/v1/chat", "m1", api_key="k-123", session=session)
+    return HttpBackend("http://unit.test/v1/chat", "m1", session=session)
 
 
 class TestHttpBackend:
     @pytest.fixture(autouse=True)
-    def no_backoff(self, monkeypatch):
+    def no_backoff_and_a_key(self, monkeypatch):
         monkeypatch.setattr(backends, "BACKOFF_S", 0.0)
+        monkeypatch.setenv("VERIMOA_API_KEY", "k-123")
 
     def test_happy_path_builds_chat_body(self):
         session = FakeSession([ok_response("hi", {"prompt_tokens": 3, "completion_tokens": 5})])

@@ -16,7 +16,7 @@ from conftest import (
     TOY_BENCH,
     FakeSimulator,
     make_problem,
-    trial_collaborators,
+    trial_run,
 )
 from verimoa import cache, orchestrator
 from verimoa.agents import stub_checker
@@ -68,9 +68,8 @@ def test_a_traced_trial_is_seen_by_every_hook(tmp_path):
                        top_n_hdl=2, top_k_intermediate=1, trials=1)
     try:
         hooks.install()
-        orchestrator.run_trial(make_problem(), config, backend, FakeSimulator(), seed=1,
-                               trial_index=0, trace_path=str(tmp_path / "trace.jsonl"),
-                               **trial_collaborators(config))
+        orchestrator.run_trial(trial_run(config, backend, FakeSimulator()), make_problem(),
+                               0, str(tmp_path / "trace.jsonl"))
     finally:
         hooks.restore()
     metrics = tracing.layer_metrics(tracer, hooks.missing)

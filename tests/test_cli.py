@@ -22,7 +22,7 @@ from conftest import (
 )
 from verimoa import backends, cli
 from verimoa.cli import main
-from verimoa.backends import GenerationRequest, load_scripted
+from verimoa.backends import GenerationRequest, HttpBackend, load_scripted
 from verimoa.errors import AuthError, BackendExhaustedError
 
 VERILOG_REPLY = "```verilog\n%s\n```" % CLEAN_MODULE.strip("\n")
@@ -664,11 +664,16 @@ class TestSimcheckCommand:
         assert "usage_error" in capsys.readouterr().err
 
 
+# A post the server answers by closing the connection.
+_CLOSE = "close"
+
+
 class _ChatHandler(BaseHTTPRequestHandler):
-    """Answers chat completions with "ok" once a whole wave of them is in
-    flight, over keep-alive connections, counting the connections it
-    accepts and the posts it reads; a server made with a status other than
-    200 answers every post with that status at once."""
+    """Answers chat completions over keep-alive connections, counting the
+    connections it accepts and the posts it reads.  The server's schedule
+    gives each post in turn its answer, the last one repeating: a 200
+    answers "ok" once a whole wave of them is in flight, another status is
+    sent at once, and _CLOSE drops the connection unanswered."""
 
     protocol_version = "HTTP/1.1"
 
@@ -681,8 +686,13 @@ class _ChatHandler(BaseHTTPRequestHandler):
         self.rfile.read(int(self.headers["Content-Length"]))
         with self.server.lock:
             self.server.posts += 1
-        if self.server.status != 200:
-            self.send_response(self.server.status)
+            schedule = self.server.schedule
+            answer = schedule.pop(0) if len(schedule) > 1 else schedule[0]
+        if answer == _CLOSE:
+            self.close_connection = True
+            return
+        if answer != 200:
+            self.send_response(answer)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -702,12 +712,12 @@ class _ChatServer(ThreadingHTTPServer):
     daemon_threads = True
     request_queue_size = 64  # accept a whole wave at once
 
-    def __init__(self, wave_size: int = 1, status: int = 200):
+    def __init__(self, wave_size: int = 1, schedule=(200,)):
         super().__init__(("127.0.0.1", 0), _ChatHandler)
         self.lock = threading.Lock()
         self.connections = 0
         self.posts = 0
-        self.status = status
+        self.schedule = list(schedule)
         self.wave = threading.Barrier(wave_size, timeout=30)
 
 
@@ -760,7 +770,7 @@ class TestHttpBackendPool:
         # holds 1 x 3 seats and trips on the 3rd exhausted request in a row.
         _no_proxy(monkeypatch)
         monkeypatch.setattr(backends, "BACKOFF_S", 0.0)
-        server = _ChatServer(status=503)
+        server = _ChatServer(schedule=[503])
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
             rc = run_cli(
@@ -775,6 +785,40 @@ class TestHttpBackendPool:
         assert rc == 2
         assert capsys.readouterr().err.startswith("backend_exhausted:")
         assert backends.MAX_ATTEMPTS <= server.posts <= 2 * 3 * backends.MAX_ATTEMPTS
+
+
+class TestHttpRetryBudget:
+    """One request's MAX_ATTEMPTS posts, against a real endpoint over loopback."""
+
+    @pytest.fixture(autouse=True)
+    def no_proxy_no_backoff(self, monkeypatch):
+        _no_proxy(monkeypatch)
+        monkeypatch.setattr(backends, "BACKOFF_S", 0.0)
+
+    def generate(self, schedule):
+        """Send one request to a server answering by schedule; returns the
+        answer's text, or the error it raised, and the posts the server read."""
+        server = _ChatServer(schedule=schedule)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        backend = HttpBackend("http://127.0.0.1:%d/v1" % server.server_port, "m")
+        try:
+            outcome = backend.generate(GenerationRequest("s", "u")).text
+        except BackendExhaustedError as exc:
+            outcome = exc
+        finally:
+            backend.session.close()
+            server.shutdown()
+            server.server_close()
+        return outcome, server.posts
+
+    def test_retryable_answers_are_retried_until_one_succeeds(self):
+        assert self.generate([503, 429, 200]) == ("ok", 3)
+
+    def test_failures_exhaust_the_budget_in_max_attempts_posts(self):
+        failures = [503, _CLOSE, 429] * backends.MAX_ATTEMPTS
+        outcome, posts = self.generate(failures[:backends.MAX_ATTEMPTS] + [200])
+        assert isinstance(outcome, BackendExhaustedError)
+        assert posts == backends.MAX_ATTEMPTS
 
 
 def test_offline_imports_leave_requests_unloaded():

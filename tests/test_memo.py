@@ -102,11 +102,10 @@ def check(checker, model, memo):
                      tag_contains="stage1"),
         ResponseRule(text="```verilog\n%s\n```" % CLEAN_MODULE),
     ])
-    checks = []
     spec = AgentSpec(path=path, slot=1, templates=load_templates()[path.value])
-    run_twostage_agent(spec, make_problem(), [], [], checker, 1,
-                       Caller(backend, Sampling(), "widget/t0/L1/S1"), checks, memo=memo)
-    return checks
+    caller = Caller(backend, Sampling(), "widget/t0/L1/S1")
+    run_twostage_agent(spec, make_problem(), [], [], checker, 1, caller, memo=memo)
+    return caller.checks
 
 
 class TestMemoSimulator:

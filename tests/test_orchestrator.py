@@ -15,7 +15,7 @@ from conftest import (
     TOY_BENCH,
     FakeSimulator,
     make_problem,
-    trial_collaborators,
+    trial_run,
 )
 from verimoa import __version__
 from verimoa.agents import CANDIDATE_MARKER_RE, stub_checker
@@ -92,17 +92,9 @@ def widget_traces(run_dir, trials):
 def run_one(tmp_path, config=None, backend=None, sim=None, **kwargs):
     """Run one trial of the widget problem; returns its trace events."""
     trace = str(tmp_path / "trace.jsonl")
-    config = config or small_config()
-    run_trial(
-        make_problem(),
-        config,
-        backend or happy_backend(),
-        sim or FakeSimulator(),
-        seed=7,
-        trial_index=0,
-        trace_path=trace,
-        **trial_collaborators(config) | kwargs,
-    )
+    config = config or small_config(random_seed=7)
+    run = trial_run(config, backend or happy_backend(), sim or FakeSimulator(), **kwargs)
+    run_trial(run, make_problem(), 0, trace)
     return read_trace(trace)
 
 
@@ -170,11 +162,8 @@ class TestEventOrder:
         paths = []
         for name in ("a", "b"):
             trace = str(tmp_path / ("%s.jsonl" % name))
-            run_trial(
-                make_problem(), small_config(), happy_backend(), FakeSimulator(),
-                seed=7, trial_index=0, trace_path=trace,
-                **trial_collaborators(small_config()),
-            )
+            run = trial_run(small_config(), happy_backend(), FakeSimulator())
+            run_trial(run, make_problem(), 0, trace)
             paths.append(trace)
         with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
             assert fa.read() == fb.read()
@@ -518,13 +507,9 @@ class TestGateCalls:
             config = dataclasses.replace(config, enable_sim_refinement=True)
         sim, memo = GateCountingSimulator(stub_simulator()), GateLookupMemo()
         for problem in load_benchmark(TOY_BENCH).problems:
-            run_trial(
-                problem, config, load_scripted(PROGRESSIVE_RULES), sim,
-                seed=config.random_seed, trial_index=0,
-                trace_path=str(tmp_path / problem.id / "trace.jsonl"),
-                run_functional=run_functional,
-                **trial_collaborators(config) | {"memo": memo},
-            )
+            run = trial_run(config, load_scripted(PROGRESSIVE_RULES), sim,
+                            memo=memo, run_functional=run_functional)
+            run_trial(run, problem, 0, str(tmp_path / problem.id / "trace.jsonl"))
         assert (memo.lookups, sim.calls) == expected
 
 
@@ -762,7 +747,7 @@ class TestScheduler:
         bench = Benchmark(name="two", problems=(make_problem(), make_problem("p2")))
         config = small_config(layer_width=2, mixture=("Base", "Base"), trials=4)
         session = InFlightSession(target=7)
-        backend = HttpBackend("http://unit.test/v1/chat", "m1", api_key="k", session=session)
+        backend = HttpBackend("http://unit.test/v1/chat", "m1", session=session)
         run_benchmark(bench, config, backend, FakeSimulator(), str(tmp_path / "run"), jobs=4)
         assert 6 < session.peak <= 4 * config.layer_width
 

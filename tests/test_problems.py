@@ -115,6 +115,24 @@ class TestLoadProblem:
         with pytest.raises(MalformedIndexError, match="support_files"):
             load_problem(pdir, "p1")
 
+    @pytest.mark.parametrize("listed", ["../outside.v", "absolute"])
+    def test_support_file_must_stay_inside_the_problem_directory(self, tmp_path, listed):
+        # The file exists, so only the check keeps it from being read and compiled.
+        outside = tmp_path / "outside.v"
+        outside.write_text("// outside", encoding="utf-8")
+        name = str(outside) if listed == "absolute" else listed
+        meta = {"id": "p1", "top_module": "p1", "timeout_ms": 5, "support_files": [name]}
+        pdir = write_problem(tmp_path, "p1", meta)
+        with pytest.raises(MalformedIndexError, match="support_files entry %s"
+                           % re.escape(repr(name))):
+            load_problem(pdir, "p1")
+
+    def test_support_file_may_sit_in_a_subdirectory(self, tmp_path):
+        meta = {"id": "p1", "top_module": "p1", "timeout_ms": 5,
+                "support_files": ["lib/helper.v"]}
+        pdir = write_problem(tmp_path, "p1", meta, extra_files=[("lib/helper.v", "// lib")])
+        assert load_problem(pdir, "p1").support_files == {"lib/helper.v": "// lib"}
+
     def test_listed_support_file_must_exist(self, tmp_path):
         meta = {
             "id": "p1", "top_module": "p1", "timeout_ms": 5,
