@@ -71,33 +71,6 @@ class StructuralFacts:
     has_conditional: bool = False
     token_count: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "has_module_decl": self.has_module_decl,
-            "has_endmodule": self.has_endmodule,
-            "module_name": self.module_name,
-            "port_count": self.port_count,
-            "always_blocks": [
-                {
-                    "sensitivity": b.sensitivity.value,
-                    "uses_blocking": b.uses_blocking,
-                    "uses_nonblocking": b.uses_nonblocking,
-                    "has_incomplete_conditional": b.has_incomplete_conditional,
-                    "assigned_signals": sorted(b.assigned_signals),
-                    "read_signals": sorted(b.read_signals),
-                }
-                for b in self.always_blocks
-            ],
-            "assign_count": self.assign_count,
-            "case_without_default": self.case_without_default,
-            "begin_end_balanced": self.begin_end_balanced,
-            "driven_signals": dict(sorted(self.driven_signals.items())),
-            "has_reset_in_sequential": self.has_reset_in_sequential,
-            "has_port_directions": self.has_port_directions,
-            "has_conditional": self.has_conditional,
-            "token_count": self.token_count,
-        }
-
 
 KEYWORDS = frozenset({
     "module", "endmodule", "input", "output", "inout", "wire", "reg", "logic",

@@ -50,14 +50,6 @@ class CandidateId:
         if self.refine_round < 0:
             raise ValueError("refine_round must be >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "layer": self.layer,
-            "slot": self.slot,
-            "path": self.path.value,
-            "refine_round": self.refine_round,
-        }
-
 
 @dataclass(frozen=True)
 class HdlCacheEntry:

@@ -30,7 +30,7 @@ from .errors import (
     WorkspaceError,
 )
 from .harness import REPORT_NAME, build_report, pass_table, scan_run
-from .problems import load_benchmark, load_config, load_problem, read_text
+from .problems import load_benchmark, load_config, load_problem, read_text, to_json
 from .scoring import ScoreConstants
 from .simulator import (
     ExternalSimulator,
@@ -173,7 +173,7 @@ def _cmd_score(args) -> int:
     sim = _build_sim(args)
     score, _ = gated_evaluation(source, problem, sim, ScoreConstants())
     if args.json:
-        print(json.dumps(score.to_json(), indent=2, sort_keys=True))
+        print(json.dumps(to_json(score), indent=2, sort_keys=True))
     else:
         print("value: %.6f" % score.value)
         print("branch: %s" % score.branch.value)
@@ -216,7 +216,7 @@ def _cmd_facts(args) -> int:
     from .analyzer import extract_facts
 
     source = read_text(args.file, SchemaError)
-    print(json.dumps(extract_facts(source).to_json(), indent=2, sort_keys=True))
+    print(json.dumps(to_json(extract_facts(source)), indent=2, sort_keys=True))
     return 0
 
 

@@ -63,7 +63,7 @@ from .cache import (
 from .errors import AuthError, InvariantViolationError, VerimoaError
 from .harness import trace_path, vendi_score
 from .memo import VerdictMemo
-from .problems import Benchmark, DesignProblem, RunConfig
+from .problems import Benchmark, DesignProblem, RunConfig, to_json
 
 
 @dataclass(frozen=True)
@@ -159,20 +159,20 @@ def _run_slot(
         model = None if rnd.round_index else intermediate
         cid = CandidateId(layer, spec.slot, spec.path, rnd.round_index)
         entries.append(HdlCacheEntry(cid, rnd.source, rnd.score, model))
-        events.append({"event": "cache_insert", "kind": "hdl", "id": cid.to_json(),
-                       "source": rnd.source, "score": rnd.score.to_json()})
+        events.append({"event": "cache_insert", "kind": "hdl", "id": to_json(cid),
+                       "source": rnd.source, "score": to_json(rnd.score)})
         if model is not None:
             events.append({"event": "cache_insert", "kind": "intermediate",
-                           "id": cid.to_json(), "language": PATH_LANGUAGE[spec.path].value,
+                           "id": to_json(cid), "language": PATH_LANGUAGE[spec.path].value,
                            "source": model, "score": rnd.score.value})
     return events, entries
 
 
 def run_trial(run: Run, problem: DesignProblem, trial_index: int, trace_path: str) -> None:
-    """One full pipeline episode for one problem, its seed random_seed +
-    trial_index.  Its trace ends in trial_result, or in trial_error (a
-    non-pass) when no candidate survives to aggregation; nothing is returned.
-    Every lookup goes through run.memo; Vendi profiles are kept per trial.
+    """One full pipeline episode for one problem, under config.trial_seed.
+    Its trace ends in trial_result, or in trial_error (a non-pass) when no
+    candidate survives to aggregation; nothing is returned. Every lookup
+    goes through run.memo; Vendi profiles are kept per trial.
 
     The slots of each layer run on the trial's own pool of layer_width
     workers; each returns its finished trace events and cache entries, and
@@ -196,7 +196,7 @@ def run_trial(run: Run, problem: DesignProblem, trial_index: int, trace_path: st
                 "event": "trial_start",
                 "problem": problem.id,
                 "trial": trial_index,
-                "seed": config.random_seed + trial_index,
+                "seed": config.trial_seed(trial_index),
             }
         )
         writer.flush()
@@ -243,7 +243,7 @@ def run_trial(run: Run, problem: DesignProblem, trial_index: int, trace_path: st
             {
                 "event": "aggregate",
                 "layer": agg_layer,
-                "refs": [e.id.to_json() for e in window],
+                "refs": [to_json(e.id) for e in window],
                 "fallback": fallback,
                 "source": source,
             }
@@ -305,7 +305,7 @@ def _layer_stats(
         {
             "event": "layer_stats",
             **stats,
-            "window": [e.id.to_json() for e in window],
+            "window": [to_json(e.id) for e in window],
             "window_values": values,
         }
     )
@@ -320,7 +320,7 @@ def write_manifest(
         "benchmark": benchmark.name,
         "problems": [p.id for p in benchmark.problems],
         "config": config.to_json(),
-        "seeds": [config.random_seed + t for t in range(config.trials)],
+        "seeds": [config.trial_seed(t) for t in range(config.trials)],
         "backend": backend_id,
         "versions": {
             "package": __version__,

@@ -2,9 +2,8 @@
 
 A benchmark bundle is a directory:
 
-    benchmark.json            {"name": ..., "problems": [ids in order]}
-    <id>/problem.json         {"id", "top_module", "timeout_ms",
-                               optional "pass_marker", "support_files"}
+    benchmark.json            the fields of _BenchmarkIndex
+    <id>/problem.json         the fields of _ProblemIndex
     <id>/spec.md              natural-language design description
     <id>/testbench.v          golden self-checking testbench
     <id>/<support file>       extra sources compiled alongside, opaque here
@@ -13,6 +12,8 @@ Run configuration is a single JSON object whose keys mirror RunConfig.
 Every JSON or JSON-lines input, here and in backends and harness, is read
 by read_json or read_jsonl, and every text input by read_text: strict
 UTF-8, and a fault raises the caller's error class naming <path>[:<line>].
+_from_json builds a JSON object into the dataclass that declares its
+fields, checking each value's type, and to_json turns values back into JSON.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import os
 import sys
 import typing
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum
 
 from .cache import AgentPath
 from .errors import (
@@ -133,48 +135,37 @@ def read_jsonl(path: str, error: type[VerimoaError]) -> Iterator[tuple[str, obje
             yield where, value
 
 
+@dataclass(frozen=True)
+class _ProblemIndex:
+    """The fields of <id>/problem.json."""
+    id: str
+    top_module: str
+    timeout_ms: int
+    pass_marker: str | None = None
+    support_files: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class _BenchmarkIndex:
+    """The fields of benchmark.json."""
+    name: str
+    problems: tuple[str, ...]
+
+
 def load_problem(problem_dir: str, expected_id: str | None = None) -> DesignProblem:
     meta_path = os.path.join(problem_dir, "problem.json")
-    meta = read_json(meta_path, MalformedIndexError)
-    known = {"id", "top_module", "timeout_ms", "pass_marker", "support_files"}
-    unknown = set(meta) - known
-    if unknown:
-        raise MalformedIndexError(
-            "%s: unknown field %r" % (meta_path, sorted(unknown)[0])
-        )
-    for required in ("id", "top_module", "timeout_ms"):
-        if required not in meta:
-            raise MalformedIndexError("%s: missing field %r" % (meta_path, required))
-    pid = meta["id"]
-    if not isinstance(pid, str) or not pid:
-        raise MalformedIndexError("%s: field 'id' must be a non-empty string" % meta_path)
-    if expected_id is not None and pid != expected_id:
+    raw = read_json(meta_path, MalformedIndexError)
+    meta = _from_json(_ProblemIndex, raw, meta_path, MalformedIndexError)
+    if expected_id is not None and meta.id != expected_id:
         raise MalformedIndexError(
             "%s: field 'id' is %r but the index names this directory %r"
-            % (meta_path, pid, expected_id)
+            % (meta_path, meta.id, expected_id)
         )
-    if not isinstance(meta["top_module"], str) or not meta["top_module"]:
-        raise MalformedIndexError(
-            "%s: field 'top_module' must be a non-empty string" % meta_path
-        )
-    timeout = meta["timeout_ms"]
-    if isinstance(timeout, bool) or not isinstance(timeout, int) or timeout < 1:
+    if meta.timeout_ms < 1:
         raise MalformedIndexError(
             "%s: field 'timeout_ms' must be a positive integer" % meta_path
         )
-    marker = meta.get("pass_marker")
-    if marker is not None and (not isinstance(marker, str) or not marker):
-        raise MalformedIndexError(
-            "%s: field 'pass_marker' must be a non-empty string" % meta_path
-        )
-    support_names = meta.get("support_files", [])
-    if not isinstance(support_names, list) or not all(
-        isinstance(n, str) for n in support_names
-    ):
-        raise MalformedIndexError(
-            "%s: field 'support_files' must be a list of file names" % meta_path
-        )
-    for name in support_names:
+    for name in meta.support_files:
         if os.path.isabs(name) or os.pardir in name.split(os.sep):
             raise MalformedIndexError("%s: support_files entry %r is outside the problem "
                                       "directory" % (meta_path, name))
@@ -183,31 +174,26 @@ def load_problem(problem_dir: str, expected_id: str | None = None) -> DesignProb
         return read_text(os.path.join(problem_dir, name), MalformedIndexError)
 
     return DesignProblem(
-        id=pid,
+        id=meta.id,
         description=text("spec.md"),
         testbench_source=text("testbench.v"),
-        top_module=meta["top_module"],
-        timeout_ms=timeout,
-        pass_marker=marker,
-        support_files={name: text(name) for name in support_names},
+        top_module=meta.top_module,
+        timeout_ms=meta.timeout_ms,
+        pass_marker=meta.pass_marker,
+        support_files={name: text(name) for name in meta.support_files},
     )
 
 
 def load_benchmark(root_path: str) -> Benchmark:
     index_path = os.path.join(root_path, "benchmark.json")
-    index = read_json(index_path, MalformedIndexError)
-    name = index.get("name")
-    ids = index.get("problems")
-    if not isinstance(name, str) or not name:
-        raise MalformedIndexError(
-            "%s: field 'name' must be a non-empty string" % index_path
-        )
-    if not isinstance(ids, list) or not ids or not all(isinstance(i, str) for i in ids):
+    raw = read_json(index_path, MalformedIndexError)
+    index = _from_json(_BenchmarkIndex, raw, index_path, MalformedIndexError)
+    if not index.problems:
         raise MalformedIndexError(
             "%s: field 'problems' must be a non-empty list of ids" % index_path
         )
-    problems = tuple(load_problem(os.path.join(root_path, pid), pid) for pid in ids)
-    return Benchmark(name=name, problems=problems)
+    problems = tuple(load_problem(os.path.join(root_path, pid), pid) for pid in index.problems)
+    return Benchmark(name=index.name, problems=problems)
 
 
 # -- run configuration ----------------------------------------------------
@@ -282,8 +268,11 @@ class RunConfig:
     def sim_refine_rounds(self) -> int:
         return self.max_sim_refine_rounds if self.enable_sim_refinement else 0
 
+    def trial_seed(self, trial_index: int) -> int:
+        return self.random_seed + trial_index
+
     def to_json(self) -> dict:
-        return {**asdict(self), "mixture": list(self.mixture)}
+        return to_json(self)
 
 
 @functools.cache
@@ -302,38 +291,64 @@ def _is_number(value) -> bool:
     )
 
 
-def _from_json(cls, obj, where: str):
+def _from_json(cls, obj, where: str, error: type[VerimoaError] = SchemaError):
     """Build dataclass ``cls`` from a JSON object, checking each value
-    against its field's declared type; ``where`` is the dotted path."""
+    against its field's declared type and raising ``error`` naming the
+    dotted path ``where``. A field without a default must be present, and
+    a ``str`` field must be non-empty (``str | None`` also takes null)."""
     if not isinstance(obj, dict):
-        raise SchemaError("%s: expected an object" % where)
+        raise error("%s: expected an object" % where)
     types = _field_types(cls)
     unknown = set(obj) - set(types)
     if unknown:
-        raise SchemaError("%s: unknown field %r" % (where, sorted(unknown)[0]))
+        raise error("%s: unknown field %r" % (where, sorted(unknown)[0]))
+    for f in fields(cls):
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise error("%s: missing field %r" % (where, f.name))
     kwargs = {}
     for name, value in obj.items():
         kind, path = types[name], "%s.%s" % (where, name)
         if is_dataclass(kind):
-            kwargs[name] = _from_json(kind, value, path)
+            kwargs[name] = _from_json(kind, value, path, error)
         elif kind in (int, bool):
             if type(value) is not kind:
                 what = "an integer" if kind is int else "a boolean"
-                raise SchemaError("%s: expected %s" % (path, what))
+                raise error("%s: expected %s" % (path, what))
             kwargs[name] = value
         elif kind is float:
             if not _is_number(value):
-                raise SchemaError("%s: expected a number" % path)
+                raise error("%s: expected a number" % path)
             kwargs[name] = float(value)
+        elif kind in (str, str | None):
+            if not ((isinstance(value, str) and value) or (value is None and kind is not str)):
+                raise error("%s: expected a non-empty string" % path)
+            kwargs[name] = value
         elif kind == tuple[str, ...]:
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise SchemaError("%s: expected a list of strings" % path)
+                raise error("%s: expected a list of strings" % path)
             kwargs[name] = tuple(value)
         else:  # Mapping[str, float]
             if not isinstance(value, dict) or not all(map(_is_number, value.values())):
-                raise SchemaError("%s: expected a map of numbers" % path)
+                raise error("%s: expected a map of numbers" % path)
             kwargs[name] = {k: float(v) for k, v in value.items()}
     return cls(**kwargs)
+
+
+def to_json(value):
+    """The JSON form of ``value``: a dataclass becomes a dict of its fields,
+    an enum its value, a set a sorted list and a tuple a list, recursively;
+    any other container must be a dict."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if is_dataclass(value):
+        return {name: to_json(getattr(value, name)) for name in _field_types(type(value))}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    return {k: to_json(v) for k, v in value.items()}
 
 
 def config_from_json(obj: object) -> RunConfig:

@@ -124,15 +124,6 @@ class QualityScore:
     syntax_pass: bool
     functional_pass: bool
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "branch": self.branch.value,
-            "breakdown": [[rule, amount] for rule, amount in self.breakdown],
-            "syntax_pass": self.syntax_pass,
-            "functional_pass": self.functional_pass,
-        }
-
 
 def fired_rules(facts: StructuralFacts) -> dict[str, list[str]]:
     """Which penalty rules fire on these facts, grouped by severity class.

@@ -36,7 +36,7 @@ from verimoa.agents import (
     sim_refine,
     stub_checker,
 )
-from verimoa.backends import ResponseRule, RuleBackend, ScriptedBackend
+from verimoa.backends import ScriptedBackend
 from verimoa.cache import AgentPath, CandidateId, IntermediateLanguage
 from verimoa.agents import RefineRound
 from verimoa.errors import (

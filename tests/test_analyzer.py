@@ -1,6 +1,7 @@
 import pytest
 
 from verimoa.analyzer import Sensitivity, TokKind, extract_facts, tokenize
+from verimoa.problems import to_json
 
 
 def kinds(source):
@@ -205,7 +206,7 @@ class TestStructure:
         facts = extract_facts(
             "module m(input a, output y); assign y = a; endmodule"
         )
-        blob = facts.to_json()
+        blob = to_json(facts)
         assert blob["module_name"] == "m"
         assert blob["port_count"] == 2
         assert blob["assign_count"] == 1

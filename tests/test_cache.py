@@ -14,6 +14,7 @@ from verimoa.cache import (
 )
 from verimoa.errors import DuplicateIdError
 from verimoa.orchestrator import _layer_stats
+from verimoa.problems import to_json
 
 
 def make_int(layer, slot, value, language=IntermediateLanguage.CPP, refine_round=0):
@@ -39,7 +40,7 @@ class TestCandidateId:
 
     def test_to_json(self):
         cid = CandidateId(layer=2, slot=3, path=AgentPath.PY, refine_round=1)
-        assert cid.to_json() == {
+        assert to_json(cid) == {
             "layer": 2, "slot": 3, "path": "py", "refine_round": 1,
         }
 

@@ -523,6 +523,197 @@ class TestFacts:
         assert blob["port_count"] == 3
 
 
+# Two always blocks whose signals appear out of sorted order, three driven
+# signals, more moderate penalties than their class's cap and, with a
+# syntax error, the fallback branch: every part of both JSON outputs.
+KNOT = """\
+module knot (
+    input  wire clk,
+    input  wire sel,
+    input  wire [1:0] op,
+    output reg  zeta,
+    output reg  alpha,
+    output wire mid
+);
+    assign mid = sel;
+    assign mid = ~sel;
+    always @(*) begin
+        if (sel)
+            zeta <= op[0];
+        case (op)
+            2'd0: alpha = zeta;
+            2'd1: alpha = mid;
+        endcase
+    end
+    always @(posedge clk) begin
+        zeta = alpha;
+    end
+endmodule
+"""
+
+KNOT_FACTS = """\
+{
+  "always_blocks": [
+    {
+      "assigned_signals": [
+        "alpha",
+        "zeta"
+      ],
+      "has_incomplete_conditional": true,
+      "read_signals": [
+        "mid",
+        "op",
+        "sel",
+        "zeta"
+      ],
+      "sensitivity": "combinational",
+      "uses_blocking": true,
+      "uses_nonblocking": true
+    },
+    {
+      "assigned_signals": [
+        "zeta"
+      ],
+      "has_incomplete_conditional": false,
+      "read_signals": [
+        "alpha"
+      ],
+      "sensitivity": "edge_triggered",
+      "uses_blocking": true,
+      "uses_nonblocking": false
+    }
+  ],
+  "assign_count": 2,
+  "begin_end_balanced": true,
+  "case_without_default": 1,
+  "driven_signals": {
+    "alpha": 1,
+    "mid": 2,
+    "zeta": 2
+  },
+  "has_conditional": true,
+  "has_endmodule": true,
+  "has_module_decl": true,
+  "has_port_directions": true,
+  "has_reset_in_sequential": false,
+  "module_name": "knot",
+  "port_count": 6,
+  "token_count": 92
+}
+"""
+
+KNOT_FUNCTIONAL_FAIL = """\
+{
+  "branch": "functional_fail",
+  "breakdown": [
+    [
+      "multi_driven_signal",
+      -0.15
+    ],
+    [
+      "combinational_feedback",
+      -0.15
+    ],
+    [
+      "blocking_in_sequential",
+      -0.05
+    ],
+    [
+      "nonblocking_in_combinational",
+      -0.05
+    ],
+    [
+      "case_without_default",
+      -0.05
+    ],
+    [
+      "sequential_without_reset",
+      -0.05
+    ],
+    [
+      "incomplete_conditional",
+      -0.05
+    ],
+    [
+      "moderate_cap_adjustment",
+      0.1
+    ]
+  ],
+  "functional_pass": false,
+  "syntax_pass": true,
+  "value": 0.3500000000000001
+}
+"""
+
+KNOT_SYNTAX_FAIL = """\
+{
+  "branch": "syntax_fail",
+  "breakdown": [
+    [
+      "structure_module_decl",
+      0.049999999999999996
+    ],
+    [
+      "structure_endmodule",
+      0.049999999999999996
+    ],
+    [
+      "structure_ports",
+      0.049999999999999996
+    ],
+    [
+      "logic_constructs",
+      0.03333333333333333
+    ],
+    [
+      "logic_begin_end_balanced",
+      0.03333333333333333
+    ],
+    [
+      "logic_conditional",
+      0.03333333333333333
+    ],
+    [
+      "format_nonempty",
+      0.025
+    ],
+    [
+      "format_length",
+      0.025
+    ],
+    [
+      "fallback_tighten",
+      -0.00030000000000002247
+    ]
+  ],
+  "functional_pass": false,
+  "syntax_pass": false,
+  "value": 0.29969999999999997
+}
+"""
+
+
+class TestJsonOutputIsExact:
+    def test_facts(self, tmp_path, capsys):
+        source = tmp_path / "knot.v"
+        source.write_text(KNOT, encoding="utf-8")
+        assert run_cli("facts", str(source)) == 0
+        assert capsys.readouterr().out == KNOT_FACTS
+
+    @pytest.mark.parametrize("marker, expected", [
+        ("FUNCFAIL", KNOT_FUNCTIONAL_FAIL), ("SYNTAXERR", KNOT_SYNTAX_FAIL),
+    ])
+    def test_score(self, tmp_path, capsys, marker, expected):
+        hdl = tmp_path / "knot.v"
+        hdl.write_text(KNOT + "// %s\n" % marker, encoding="utf-8")
+        rc = run_cli(
+            "score", "--problem", os.path.join(TOY_BENCH, "counter4"),
+            "--hdl", str(hdl), "--sim", "stub", "--json",
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == expected
+
+
 def synthetic_run(root):
     manifest = {
         "benchmark": "synthetic",

@@ -100,6 +100,11 @@ class TestLoadProblem:
         with pytest.raises(MalformedIndexError, match="timeout_ms"):
             load_problem(pdir, "p1")
 
+    def test_null_pass_marker_is_no_marker(self, tmp_path):
+        meta = {"id": "p1", "top_module": "p1", "timeout_ms": 5, "pass_marker": None}
+        pdir = write_problem(tmp_path, "p1", meta)
+        assert load_problem(pdir, "p1").pass_marker is None
+
     def test_empty_pass_marker_rejected(self, tmp_path):
         meta = {"id": "p1", "top_module": "p1", "timeout_ms": 5, "pass_marker": ""}
         pdir = write_problem(tmp_path, "p1", meta)
@@ -219,6 +224,17 @@ class TestLoadBenchmark:
         write_problem(tmp_path, "a")
         write_benchmark(tmp_path, ["a", "a"])
         with pytest.raises(DuplicateProblemIdError):
+            load_benchmark(str(tmp_path))
+
+    @pytest.mark.parametrize("index, expected", [
+        ({"name": "x", "problems": ["a"], "problem": ["oops"]}, "unknown field 'problem'"),
+        ({"name": None, "problems": ["a"]}, r"(field '|\.)name\b"),
+        ({"name": "x", "problems": ["a", 3]}, r"(field '|\.)problems\b"),
+    ], ids=["unknown-field", "null-name", "non-string-id"])
+    def test_index_is_read_as_strictly_as_problem_json(self, tmp_path, index, expected):
+        write_problem(tmp_path, "a")
+        (tmp_path / "benchmark.json").write_text(json.dumps(index), encoding="utf-8")
+        with pytest.raises(MalformedIndexError, match=expected):
             load_benchmark(str(tmp_path))
 
 

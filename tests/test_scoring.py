@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeSimulator, make_problem, random_facts
+from conftest import make_problem, random_facts
 from verimoa.agents import gated_evaluation
 from verimoa.analyzer import AlwaysBlockFacts, Sensitivity, StructuralFacts, extract_facts
 from verimoa.errors import InvariantViolationError, SchemaError
-from verimoa.problems import config_from_json
+from verimoa.problems import config_from_json, to_json
 from verimoa.scoring import (
     DEFAULT_RULE_WEIGHTS,
     MODERATE_RULES,
@@ -241,7 +241,7 @@ class TestScoreFromFacts:
 
     def test_json_shape(self):
         score = score_from_facts(extract_facts(GOOD), ScoreConstants(), True, False)
-        blob = score.to_json()
+        blob = to_json(score)
         assert blob["branch"] == "functional_fail"
         assert blob["syntax_pass"] is True
         assert blob["functional_pass"] is False
